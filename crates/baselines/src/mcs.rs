@@ -150,9 +150,10 @@ mod tests {
     #[test]
     fn lock_trait_reports_not_abortable() {
         let (lock, _, mem) = build(1);
-        let l: &dyn sal_core::AbortableLock = &lock;
-        assert!(!l.is_abortable());
-        assert!(l.enter(&mem, 0, &NeverAbort, &sal_obs::NoProbe).entered());
-        l.exit(&mem, 0, &sal_obs::NoProbe);
+        assert!(!LockMeta::is_abortable(&lock));
+        assert!(lock
+            .enter_core(&mem, 0, &NeverAbort, &sal_obs::NoProbe)
+            .entered());
+        lock.exit_core(&mem, 0, &sal_obs::NoProbe);
     }
 }

@@ -26,7 +26,9 @@
 //! schedules at small N instead of one sampled schedule.
 
 use sal_bench::report::save_json;
-use sal_bench::{no_abort_sweep, par_grid, worst_case_sweep, ExploreCell, LockKind, Table};
+use sal_bench::{
+    no_abort_sweep, par_grid, worst_case_sweep, AnyLock, ExploreCell, LockKind, Table,
+};
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::DsmOneShotLock;
 use sal_core::tree::Ascent;
@@ -208,7 +210,7 @@ fn dsm() {
 /// iteration (the slot is remote), while the DSM variant's local spin
 /// bit is free — the gap grows linearly with how long the wait lasts.
 fn dsm_spin() {
-    use sal_core::AbortableLock;
+    use sal_core::LockCore;
     use sal_runtime::{simulate, RoundRobin, SimOptions};
 
     let mut table = Table::new(
@@ -222,13 +224,12 @@ fn dsm_spin() {
     let mut points = Vec::new();
     for &hold in &[4u64, 16, 64, 256] {
         let mut row = vec![hold.to_string()];
-        for dsm_variant in [false, true] {
+        for (dsm_variant, kind) in [
+            (false, LockKind::OneShot { b: 4 }),
+            (true, LockKind::OneShotDsm { b: 4 }),
+        ] {
             let mut b = MemoryBuilder::new();
-            let lock: Box<dyn AbortableLock> = if dsm_variant {
-                Box::new(DsmOneShotLock::layout(&mut b, 2, 4))
-            } else {
-                Box::new(sal_core::one_shot::OneShotLock::layout(&mut b, 2, 4))
-            };
+            let lock = AnyLock::layout(kind, &mut b, 2, 0);
             // The owner's in-CS work touches only its own home word, so
             // the waiter's counter isolates the cost of *waiting*.
             let owner_pad = b.alloc_at(0, 0);
@@ -243,14 +244,14 @@ fn dsm_spin() {
                 |ctx| {
                     let probe = sal_obs::NoProbe;
                     assert!(lock
-                        .enter(ctx.mem, ctx.pid, &sal_memory::NeverAbort, &probe)
+                        .enter_core(ctx.mem, ctx.pid, &sal_memory::NeverAbort, &probe)
                         .entered());
                     if ctx.pid == 0 {
                         for _ in 0..hold {
                             ctx.mem.read(0, owner_pad); // home-local, free
                         }
                     }
-                    lock.exit(ctx.mem, ctx.pid, &probe);
+                    lock.exit_core(ctx.mem, ctx.pid, &probe);
                 },
             )
             .expect("sim failed");

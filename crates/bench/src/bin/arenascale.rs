@@ -25,8 +25,8 @@
 //! number of successful acquisitions) and, for the arena, that no
 //! pooled core leaked (`resident_cores == 0` after the run).
 //!
-//! Results go to stdout as a table and to `BENCH_arena.json` at the
-//! repo root: throughput, sampled p99 enter latency (`null` when a
+//! Results go to stdout as a table and to `BENCH_arena.json` (at the
+//! repo root; under `target/experiments/` for `--smoke`): throughput, sampled p99 enter latency (`null` when a
 //! cell recorded no samples — see `lat_samples`), and the resident
 //! lock-object counts that make the memory story checkable
 //! (`built_cores` for the arena vs `resident_objects` for the maps).
@@ -614,15 +614,5 @@ fn main() {
         ("caveats", caveats.to_json()),
         ("cells", Json::Arr(rows.iter().map(Row::to_json).collect())),
     ]);
-    // The acceptance artifact lives at the repo root (not
-    // target/experiments): resolve it from the crate manifest so the
-    // binary lands it there regardless of the invoking directory.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_arena.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    sal_bench::save_artifact("arena", smoke, &out);
 }

@@ -22,8 +22,9 @@
 //!    predicates under `Evaluate` vs `Broadcast` wake policy, surfacing
 //!    the registry's wakeup/transition counters on the async path.
 //!
-//! Results go to stdout as tables and to `BENCH_async.json` at the repo
-//! root with `target_met`/`caveats` fields.
+//! Results go to stdout as tables and to `BENCH_async.json` (at the
+//! repo root; under `target/experiments/` for `--smoke`) with
+//! `target_met`/`caveats` fields.
 
 use sal_bench::Table;
 use sal_obs::{Json, PassageStats, ToJson};
@@ -447,14 +448,5 @@ fn main() {
         ("storm", storm.to_json()),
         ("lock_when", ccs_rows.to_json()),
     ]);
-    // The acceptance artifact lives at the repo root: resolve from the
-    // crate manifest so the binary lands it there regardless of cwd.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_async.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    sal_bench::save_artifact("async", smoke, &out);
 }

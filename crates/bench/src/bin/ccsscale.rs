@@ -31,7 +31,8 @@
 //!
 //! Every cell asserts its scenario invariant (no lost items, no lost
 //! updates, all rounds completed). Results go to stdout and
-//! `BENCH_ccs.json`; the headline metric is `wakeups / transitions`,
+//! `BENCH_ccs.json` (at the repo root; under `target/experiments/` for
+//! `--smoke`); the headline metric is `wakeups / transitions`,
 //! compared Evaluate-vs-Broadcast per scenario.
 
 use sal_bench::Table;
@@ -541,12 +542,5 @@ fn main() {
         ("invariants_all_passed", true.to_json()),
         ("cells", rows.to_json()),
     ]);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ccs.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    sal_bench::save_artifact("ccs", smoke, &out);
 }

@@ -18,8 +18,9 @@
 //!    hand-crafted `worst_case_sweep` adversary of
 //!    `tests/rmr_bounds.rs`.
 //!
-//! Results go to stdout as tables and to `BENCH_explore.json` at the
-//! repo root with `target_met`/`caveats` fields. On a single-CPU
+//! Results go to stdout as tables and to `BENCH_explore.json` (at the
+//! repo root; under `target/experiments/` for `--smoke`) with
+//! `target_met`/`caveats` fields. On a single-CPU
 //! container the ratio is still meaningful — both searches time-share
 //! the same core, so it measures algorithmic pruning, not parallelism —
 //! and the caveat records it.
@@ -435,17 +436,7 @@ fn main() {
         ),
     ]);
 
-    // The acceptance artifact lives at the repo root (not
-    // target/experiments): resolve it from the crate manifest so the
-    // binary lands it there regardless of the invoking directory.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_explore.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    sal_bench::save_artifact("explore", smoke, &out);
 }
 
 fn bad<T>(e: String) -> T {

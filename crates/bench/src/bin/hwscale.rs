@@ -1,4 +1,4 @@
-//! hwscale — native hardware mono-vs-dyn contention benchmark (M4).
+//! hwscale — native hardware contention benchmark (M4).
 //!
 //! ```text
 //! cargo run --release -p sal-bench --bin hwscale -- \
@@ -6,43 +6,32 @@
 //! ```
 //!
 //! Real OS threads hammer each lock over bare [`RawMemory`] for a fixed
-//! wall-clock duration per cell, once through the **monomorphized**
-//! path (`LockCore<RawMemory, NoProbe>` — memory ops inline to direct
-//! `AtomicU64` accesses) and once through the **dyn** path
-//! ([`DynLock`] over `Box<dyn AbortableLock>` — every lock and memory
-//! op takes a virtual call, exactly what erased registries pay). Both
-//! flavours run the *same* generic driver, so the only difference
-//! between the two runs of a cell is dispatch.
+//! wall-clock duration per cell, through the registry's [`AnyLock`]
+//! (`LockCore<RawMemory, NoProbe>`: memory ops inline to direct
+//! `AtomicU64` accesses, the kind is picked by one `match`).
 //!
 //! Grid: lock kind × thread count × abort rate. Each cell reports
-//! entered/aborted passage counts, throughput, an enter-latency
-//! histogram (sampled, nanoseconds), and the mono/dyn speedup. The
-//! lost-update invariant from `real_threads_stress` is asserted on
-//! every cell: the CS increments an unprotected cell, which must match
-//! the entered count.
+//! entered/aborted passage counts, throughput and an enter-latency
+//! histogram (sampled, nanoseconds). The lost-update invariant from
+//! `real_threads_stress` is asserted on every cell: the CS increments
+//! an unprotected cell, which must match the entered count.
 //!
-//! Results go to stdout as a table and to `BENCH_hwscale.json` at the
-//! repo root (machine-readable, with caveat fields: single-CPU
-//! containers serialize threads, so speedups there reflect code-path
-//! cost, not parallel contention — see EXPERIMENTS.md M4).
+//! Results go to stdout as a table and to `BENCH_hwscale.json`
+//! (machine-readable, with caveat fields: single-CPU containers
+//! serialize threads, so contended cells there reflect code-path cost,
+//! not parallel contention — see EXPERIMENTS.md M4). A full run writes
+//! it at the repo root, a `--smoke` run under `target/experiments/`.
 
-use sal_baselines::{LeeLock, McsLock, ScottLock, TasLock, TicketLock, TournamentLock};
-use sal_bench::{amortized_companion, LockKind, Table};
-use sal_core::long_lived::{BoundedLongLivedLock, JjLock, SimpleLongLivedLock};
-use sal_core::{AbortableLock, DynLock, Immediate, LockCore};
+use sal_bench::{amortized_companion, AnyLock, LockKind, Table};
+use sal_core::{Immediate, LockCore};
 use sal_memory::{MemoryBuilder, NeverAbort, RawMemory};
 use sal_obs::{AmortizedStats, Histogram, Json, NoProbe, ToJson};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-/// Speedup bar the acceptance criterion asks about: mono should beat
-/// dyn by at least this factor on some contended cell, else the JSON
-/// records a measured caveat instead.
-const TARGET_SPEEDUP: f64 = 1.2;
-
-/// One dispatch flavour's run of a cell.
-struct PathResult {
+/// One cell's measured run.
+struct CellRun {
     entered: u64,
     aborted: u64,
     elapsed: Duration,
@@ -50,7 +39,7 @@ struct PathResult {
     lat: Histogram,
 }
 
-impl PathResult {
+impl CellRun {
     fn throughput(&self) -> f64 {
         self.entered as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
@@ -76,24 +65,19 @@ impl PathResult {
     }
 }
 
-/// Per-cell knobs shared by both dispatch flavours.
+/// Per-cell knobs.
 struct CellCfg {
     duration: Duration,
     /// Every k-th attempt of a thread uses a pre-fired abort signal.
     abort_every: Option<usize>,
-    /// Shared attempt cap for arena-based locks (their layouts hold
+    /// Shared attempt cap for per-attempt kinds (their layouts hold
     /// exactly this many enter attempts); `None` = unbounded kinds.
     attempt_budget: Option<u64>,
 }
 
-/// The generic cell driver: `threads` real threads hammer `lock` over
-/// `mem` until the deadline (or the shared attempt budget) runs out.
-/// Monomorphized and dyn flavours both come through here — `L` is the
-/// concrete lock type for the former and [`DynLock`] for the latter.
-fn drive<L>(lock: &L, mem: &RawMemory, threads: usize, cfg: &CellCfg) -> PathResult
-where
-    L: LockCore<RawMemory, NoProbe> + Sync,
-{
+/// The cell driver: `threads` real threads hammer `lock` over `mem`
+/// until the deadline (or the shared attempt budget) runs out.
+fn drive(lock: &AnyLock, mem: &RawMemory, threads: usize, cfg: &CellCfg) -> CellRun {
     // The protected counter lives outside the lock's memory: a
     // non-atomic cell only ever touched inside the CS, so any mutual
     // exclusion failure shows up as a lost update.
@@ -188,7 +172,7 @@ where
     for h in &hists {
         lat.merge_from(h);
     }
-    PathResult {
+    CellRun {
         entered,
         aborted: aborted.load(Ordering::Relaxed),
         elapsed,
@@ -196,91 +180,27 @@ where
     }
 }
 
-/// Build the lock twice from identical layouts and run the cell on
-/// both dispatch flavours: once monomorphized over the concrete `L`,
-/// once re-erased through [`DynLock`]. Returns `(mono, dyn)`.
-fn bench_cell<L, F>(make: F, threads: usize, cfg: &CellCfg) -> (PathResult, PathResult)
-where
-    L: LockCore<RawMemory, NoProbe> + AbortableLock + Sized + 'static,
-    F: Fn(&mut MemoryBuilder, usize, usize) -> L,
-{
-    let layout_attempts = cfg.attempt_budget.unwrap_or(0) as usize;
-    let mono = {
-        let mut mb = MemoryBuilder::new();
-        let lock = make(&mut mb, threads, layout_attempts);
-        let mem = mb.build_raw(threads);
-        drive(&lock, &mem, threads, cfg)
-    };
-    let dynd = {
-        let mut mb = MemoryBuilder::new();
-        let boxed: Box<dyn AbortableLock> = Box::new(make(&mut mb, threads, layout_attempts));
-        let mem = mb.build_raw(threads);
-        drive(&DynLock(&*boxed), &mem, threads, cfg)
-    };
-    (mono, dynd)
-}
-
-/// Dispatch a [`LockKind`] to its concrete constructor (monomorphizing
-/// [`bench_cell`] per kind). One-shot kinds are excluded from the grid:
-/// each process may enter at most once, which cannot sustain a
-/// fixed-duration throughput loop.
-fn run_cell(kind: LockKind, threads: usize, cfg: &CellCfg) -> (PathResult, PathResult) {
-    match kind {
-        LockKind::LongLived { b } => bench_cell(
-            |mb, n, _| BoundedLongLivedLock::layout(mb, n, b),
-            threads,
-            cfg,
-        ),
-        LockKind::LongLivedSimple { b } => bench_cell(
-            |mb, n, a| SimpleLongLivedLock::layout(mb, n, b, a + 1),
-            threads,
-            cfg,
-        ),
-        LockKind::Mcs => bench_cell(|mb, n, _| McsLock::layout(mb, n), threads, cfg),
-        LockKind::Ticket => bench_cell(|mb, _, _| TicketLock::layout(mb), threads, cfg),
-        LockKind::Tas => bench_cell(|mb, _, _| TasLock::layout(mb), threads, cfg),
-        LockKind::Tournament => bench_cell(|mb, n, _| TournamentLock::layout(mb, n), threads, cfg),
-        LockKind::Scott => bench_cell(|mb, n, a| ScottLock::layout(mb, n, a + 1), threads, cfg),
-        LockKind::Lee => bench_cell(|mb, n, a| LeeLock::layout(mb, n, a + 1), threads, cfg),
-        LockKind::JjAmortized => bench_cell(|mb, n, _| JjLock::layout(mb, n), threads, cfg),
-        LockKind::OneShot { .. } | LockKind::OneShotPlain { .. } | LockKind::OneShotDsm { .. } => {
-            unreachable!("one-shot kinds are excluded from the hwscale grid")
-        }
-    }
-}
-
-/// Whether the kind consumes an arena slot per enter attempt (layout
-/// must be sized to the attempt budget).
-fn arena_based(kind: LockKind) -> bool {
-    matches!(
-        kind,
-        LockKind::Scott | LockKind::Lee | LockKind::LongLivedSimple { .. }
-    )
+/// Lay `kind` out over raw memory and run the cell. One-shot kinds
+/// are excluded from the grid: each process may enter at most once,
+/// which cannot sustain a fixed-duration throughput loop.
+fn run_cell(kind: LockKind, threads: usize, cfg: &CellCfg) -> CellRun {
+    let mut mb = MemoryBuilder::new();
+    let attempts = cfg.attempt_budget.unwrap_or(0) as usize;
+    let lock = AnyLock::layout(kind, &mut mb, threads, attempts);
+    let mem = mb.build_raw(threads);
+    drive(&lock, &mem, threads, cfg)
 }
 
 struct CellRow {
     lock: String,
     threads: usize,
     abort_every: Option<usize>,
-    mono: PathResult,
-    dynd: PathResult,
+    run: CellRun,
     /// Run-scoped amortized RMR accounting from the CC-instrumented
     /// companion run ([`amortized_companion`]).
     amortized: AmortizedStats,
     /// Companion probe totals == CC ground-truth counters, bit-exact.
     accounting_ok: bool,
-}
-
-impl CellRow {
-    fn speedup(&self) -> f64 {
-        self.mono.throughput() / self.dynd.throughput().max(1e-9)
-    }
-
-    /// A cell counts towards the acceptance bar only when it actually
-    /// had lock contention (more than one thread).
-    fn contended(&self) -> bool {
-        self.threads > 1
-    }
 }
 
 impl ToJson for CellRow {
@@ -289,9 +209,7 @@ impl ToJson for CellRow {
             ("lock", self.lock.to_json()),
             ("threads", (self.threads as u64).to_json()),
             ("abort_every", self.abort_every.map(|k| k as u64).to_json()),
-            ("mono", self.mono.to_json()),
-            ("dyn", self.dynd.to_json()),
-            ("speedup", self.speedup().to_json()),
+            ("run", self.run.to_json()),
             ("amortized", self.amortized.to_json()),
             ("accounting_ok", self.accounting_ok.to_json()),
         ])
@@ -358,7 +276,7 @@ fn main() {
     let mode = if smoke { "smoke" } else { "full" };
     println!(
         "hwscale ({mode}): {} kinds × {:?} threads × {:?} abort rates, \
-         {}ms/cell × 2 dispatch flavours, {nprocs} CPUs",
+         {}ms/cell, {nprocs} CPUs",
         kinds.len(),
         thread_counts,
         abort_rates,
@@ -375,17 +293,16 @@ fn main() {
                 let cfg = CellCfg {
                     duration,
                     abort_every,
-                    attempt_budget: arena_based(kind).then_some(budget),
+                    attempt_budget: kind.per_attempt().then_some(budget),
                 };
-                let (mono, dynd) = run_cell(kind, threads, &cfg);
+                let run = run_cell(kind, threads, &cfg);
                 let (amortized, accounting_ok) =
                     amortized_companion(kind, threads, abort_every, if smoke { 100 } else { 400 });
                 rows.push(CellRow {
                     lock: kind.label(),
                     threads,
                     abort_every,
-                    mono,
-                    dynd,
+                    run,
                     amortized,
                     accounting_ok,
                 });
@@ -394,16 +311,15 @@ fn main() {
     }
 
     let mut table = Table::new(
-        "M4 — hwscale: mono vs dyn dispatch, real threads on RawMemory",
+        "M4 — hwscale: real threads on RawMemory",
         &[
             "lock",
             "thr",
             "abort",
-            "mono/s",
-            "dyn/s",
-            "speedup",
-            "mono p99 ns",
-            "dyn p99 ns",
+            "passages/s",
+            "aborted",
+            "p50 ns",
+            "p99 ns",
             "amort rmr",
         ],
     );
@@ -417,14 +333,13 @@ fn main() {
             r.lock.clone(),
             r.threads.to_string(),
             r.abort_every.map_or("-".into(), |k| format!("1/{k}")),
-            format!("{:.0}", r.mono.throughput()),
-            format!("{:.0}", r.dynd.throughput()),
-            format!("{:.2}x", r.speedup()),
-            r.mono
+            format!("{:.0}", r.run.throughput()),
+            r.run.aborted.to_string(),
+            r.run
                 .lat
-                .quantile(0.99)
+                .quantile(0.50)
                 .map_or("-".into(), |v| v.to_string()),
-            r.dynd
+            r.run
                 .lat
                 .quantile(0.99)
                 .map_or("-".into(), |v| v.to_string()),
@@ -433,12 +348,6 @@ fn main() {
     }
     table.print();
 
-    let best = rows
-        .iter()
-        .filter(|r| r.contended())
-        .map(|r| r.speedup())
-        .fold(f64::NEG_INFINITY, f64::max);
-    let target_met = best >= TARGET_SPEEDUP;
     let mut caveats: Vec<String> = Vec::new();
     if nprocs == 1 {
         caveats.push(format!(
@@ -447,17 +356,6 @@ fn main() {
             thread = thread_counts.last().unwrap()
         ));
     }
-    if !target_met {
-        caveats.push(format!(
-            "no contended cell reached the {TARGET_SPEEDUP}x mono-over-dyn bar \
-             (best: {best:.2}x); dispatch overhead is amortized by this hardware's \
-             passage cost"
-        ));
-    }
-    println!(
-        "best contended speedup: {best:.2}x (target {TARGET_SPEEDUP}x: {})",
-        if target_met { "met" } else { "NOT met" }
-    );
     for c in &caveats {
         println!("caveat: {c}");
     }
@@ -470,21 +368,8 @@ fn main() {
             "duration_ms_per_cell",
             (duration.as_millis() as u64).to_json(),
         ),
-        ("target_speedup", TARGET_SPEEDUP.to_json()),
-        ("best_contended_speedup", best.to_json()),
-        ("target_met", target_met.to_json()),
         ("caveats", caveats.to_json()),
         ("cells", rows.to_json()),
     ]);
-    // The acceptance artifact lives at the repo root (not
-    // target/experiments): resolve it from the crate manifest so the
-    // binary lands it there regardless of the invoking directory.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hwscale.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    sal_bench::save_artifact("hwscale", smoke, &out);
 }

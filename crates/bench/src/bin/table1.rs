@@ -15,8 +15,9 @@
 //! automatically.
 //!
 //! `--smoke` is the CI shape: it runs the `amortized` experiment on a
-//! reduced grid, which still regenerates the acceptance artifact
-//! `BENCH_table1.json` at the repo root (amortized column for every
+//! reduced grid, which still writes the acceptance artifact
+//! `BENCH_table1.json`, under `target/experiments/` rather than at the
+//! repo root (amortized column for every
 //! kind + the measured `target_met` verdict: the Jayanti–Jayanti lock
 //! flat across N while a per-passage tree lock grows).
 //!
@@ -264,7 +265,7 @@ fn fairness(jobs: usize) {
 /// M9: Table 1 "Amortized" column — run-scoped accounting for *every*
 /// registered kind at small N, with the worst-case (max single-passage
 /// debt) column retained next to it. Also writes the acceptance
-/// artifact `BENCH_table1.json` at the repo root, with a measured
+/// artifact `BENCH_table1.json` (see [`sal_bench::save_artifact`]), with a measured
 /// `target_met` verdict: the Jayanti–Jayanti lock's amortized RMR flat
 /// (within noise) across N ∈ {2, 4, 8} while the tournament tree
 /// lock's grows.
@@ -358,8 +359,7 @@ fn amortized(jobs: usize, smoke: bool) {
     );
     save_json("table1_amortized", &points);
 
-    // The acceptance artifact at the repo root, resolved from the crate
-    // manifest so any invoking directory lands it there.
+    // The acceptance artifact.
     let rows: Vec<Json> = kinds
         .iter()
         .zip(points.chunks(ns.len()))
@@ -397,14 +397,7 @@ fn amortized(jobs: usize, smoke: bool) {
         ("caveats", caveats.to_json()),
         ("rows", Json::Arr(rows)),
     ]);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_table1.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    sal_bench::save_artifact("table1", smoke, &out);
 }
 
 fn main() {

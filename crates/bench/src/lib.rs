@@ -25,8 +25,8 @@ pub mod workloads;
 
 pub use cli::Cli;
 pub use grid::{par_grid, parse_jobs_args};
-pub use registry::{build_lock, LockKind};
-pub use report::{export_events, save_json, save_json_with_log, RmrSummary, Table};
+pub use registry::{build_lock, AnyLock, LockKind};
+pub use report::{export_events, save_artifact, save_json, save_json_with_log, RmrSummary, Table};
 pub use workloads::{
     adaptive_sweep, adaptive_sweep_probed, amortized_companion, amortized_sweep, no_abort_sweep,
     no_abort_sweep_probed, space_row, worst_case_sweep, worst_case_sweep_probed, AmortizedPoint,

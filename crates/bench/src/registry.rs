@@ -1,11 +1,18 @@
 //! Build any lock in the workspace by kind, with its memory.
+//!
+//! One table, `KINDS`, lists every kind once: its CLI name, its
+//! [`LockKind`] value, its flags and its layout function. Every other
+//! per-kind fact — the [`NAMES`](LockKind::NAMES) list, parsing,
+//! labels, re-branching, [`build_lock`] — is read off that table, and
+//! [`AnyLock`] is the one lock type every registry caller drives.
 
 use sal_baselines::{LeeLock, McsLock, ScottLock, TasLock, TicketLock, TournamentLock};
 use sal_core::long_lived::{BoundedLongLivedLock, JjLock, SimpleLongLivedLock};
 use sal_core::one_shot::{DsmOneShotLock, OneShotLock};
 use sal_core::tree::Ascent;
-use sal_core::AbortableLock;
-use sal_memory::{CcMemory, MemoryBuilder, WordId};
+use sal_core::{LockCore, LockMeta, Outcome};
+use sal_memory::{AbortSignal, CcMemory, Mem, MemoryBuilder, Pid, WordId};
+use sal_obs::Probe;
 
 /// Every lock the experiments can drive. `b` is the tree branching
 /// factor (the paper's `W`) where applicable.
@@ -53,52 +60,117 @@ pub enum LockKind {
     JjAmortized,
 }
 
+/// [`Row::flags`] bit: the kind honours abort signals.
+const ABORTABLE: u8 = 1;
+/// [`Row::flags`] bit: each process may enter at most once.
+const ONE_SHOT: u8 = 2;
+/// [`Row::flags`] bit: the kind is a row of the Table-1 comparison.
+const TABLE1: u8 = 4;
+/// [`Row::flags`] bit: the layout holds one slot per enter attempt.
+const PER_ATTEMPT: u8 = 8;
+
+/// One registry entry: everything the workspace knows about a kind.
+struct Row {
+    /// CLI name; the label appends `(B=b)` for the tree-based kinds.
+    name: &'static str,
+    /// The kind at branching factor `b` (non-tree kinds ignore `b`).
+    kind: fn(usize) -> LockKind,
+    /// Bit set of [`ABORTABLE`], [`ONE_SHOT`], [`TABLE1`] and
+    /// [`PER_ATTEMPT`].
+    flags: u8,
+    /// Lay the lock out: `(builder, n, b, attempts)`.
+    layout: fn(&mut MemoryBuilder, usize, usize, usize) -> AnyLock,
+}
+
+/// Every kind, in CLI-listing order.
+#[rustfmt::skip]
+const KINDS: &[Row] = &[
+    Row { name: "one-shot", kind: |b| LockKind::OneShot { b }, flags: ABORTABLE | ONE_SHOT | TABLE1,
+          layout: |m, n, b, _| AnyLock::OneShot(OneShotLock::layout(m, n, b)) },
+    Row { name: "one-shot-plain", kind: |b| LockKind::OneShotPlain { b }, flags: ABORTABLE | ONE_SHOT,
+          layout: |m, n, b, _| AnyLock::OneShotPlain(OneShotLock::layout_with(m, n, b, Ascent::Plain)) },
+    Row { name: "one-shot-dsm", kind: |b| LockKind::OneShotDsm { b }, flags: ABORTABLE | ONE_SHOT,
+          layout: |m, n, b, _| AnyLock::OneShotDsm(DsmOneShotLock::layout(m, n, b)) },
+    Row { name: "long-lived", kind: |b| LockKind::LongLived { b }, flags: ABORTABLE | TABLE1,
+          layout: |m, n, b, _| AnyLock::LongLived(BoundedLongLivedLock::layout(m, n, b)) },
+    Row { name: "long-lived-simple", kind: |b| LockKind::LongLivedSimple { b }, flags: ABORTABLE | PER_ATTEMPT,
+          layout: |m, n, b, a| AnyLock::LongLivedSimple(SimpleLongLivedLock::layout(m, n, b, a + 1)) },
+    Row { name: "mcs", kind: |_| LockKind::Mcs, flags: 0,
+          layout: |m, n, _, _| AnyLock::Mcs(McsLock::layout(m, n)) },
+    Row { name: "ticket", kind: |_| LockKind::Ticket, flags: 0,
+          layout: |m, _, _, _| AnyLock::Ticket(TicketLock::layout(m)) },
+    Row { name: "tas", kind: |_| LockKind::Tas, flags: ABORTABLE,
+          layout: |m, _, _, _| AnyLock::Tas(TasLock::layout(m)) },
+    Row { name: "tournament", kind: |_| LockKind::Tournament, flags: ABORTABLE | TABLE1,
+          layout: |m, n, _, _| AnyLock::Tournament(TournamentLock::layout(m, n)) },
+    Row { name: "scott", kind: |_| LockKind::Scott, flags: ABORTABLE | TABLE1 | PER_ATTEMPT,
+          layout: |m, n, _, a| AnyLock::Scott(ScottLock::layout(m, n, a + 1)) },
+    Row { name: "lee", kind: |_| LockKind::Lee, flags: ABORTABLE | TABLE1 | PER_ATTEMPT,
+          layout: |m, n, _, a| AnyLock::Lee(LeeLock::layout(m, n, a + 1)) },
+    Row { name: "jj-amortized", kind: |_| LockKind::JjAmortized, flags: ABORTABLE | TABLE1,
+          layout: |m, n, _, _| AnyLock::JjAmortized(JjLock::layout(m, n)) },
+];
+
 impl LockKind {
     /// The CLI names [`parse`](LockKind::parse) accepts, one per kind.
-    pub const NAMES: &'static [&'static str] = &[
-        "one-shot",
-        "one-shot-plain",
-        "one-shot-dsm",
-        "long-lived",
-        "long-lived-simple",
-        "mcs",
-        "ticket",
-        "tas",
-        "tournament",
-        "scott",
-        "lee",
-        "jj-amortized",
-    ];
+    pub const NAMES: &'static [&'static str] = &{
+        let mut names = [""; KINDS.len()];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = KINDS[i].name;
+            i += 1;
+        }
+        names
+    };
+
+    /// This kind's [`KINDS`] entry.
+    fn row(self) -> &'static Row {
+        let b = self.branching().unwrap_or(0);
+        KINDS
+            .iter()
+            .find(|row| (row.kind)(b) == self)
+            .expect("every kind has a KINDS row")
+    }
+
+    fn has(self, flag: u8) -> bool {
+        self.row().flags & flag != 0
+    }
+
+    /// The tree branching factor of the tree-based kinds.
+    fn branching(self) -> Option<usize> {
+        match self {
+            LockKind::OneShot { b }
+            | LockKind::OneShotPlain { b }
+            | LockKind::OneShotDsm { b }
+            | LockKind::LongLivedSimple { b }
+            | LockKind::LongLived { b } => Some(b),
+            _ => None,
+        }
+    }
 
     /// Short label for tables.
     pub fn label(self) -> String {
-        match self {
-            LockKind::OneShot { b } => format!("one-shot(B={b})"),
-            LockKind::OneShotPlain { b } => format!("one-shot-plain(B={b})"),
-            LockKind::OneShotDsm { b } => format!("one-shot-dsm(B={b})"),
-            LockKind::LongLivedSimple { b } => format!("long-lived-simple(B={b})"),
-            LockKind::LongLived { b } => format!("long-lived(B={b})"),
-            LockKind::Mcs => "mcs".into(),
-            LockKind::Ticket => "ticket".into(),
-            LockKind::Tas => "tas".into(),
-            LockKind::Tournament => "tournament".into(),
-            LockKind::Scott => "scott".into(),
-            LockKind::Lee => "lee".into(),
-            LockKind::JjAmortized => "jj-amortized".into(),
+        let name = self.row().name;
+        match self.branching() {
+            Some(b) => format!("{name}(B={b})"),
+            None => name.into(),
         }
     }
 
     /// Whether the kind honours abort signals.
     pub fn abortable(self) -> bool {
-        !matches!(self, LockKind::Mcs | LockKind::Ticket)
+        self.has(ABORTABLE)
     }
 
     /// Whether each process may enter at most once.
     pub fn one_shot(self) -> bool {
-        matches!(
-            self,
-            LockKind::OneShot { .. } | LockKind::OneShotPlain { .. } | LockKind::OneShotDsm { .. }
-        )
+        self.has(ONE_SHOT)
+    }
+
+    /// Whether the layout holds one slot per enter attempt, so a run
+    /// must budget its attempts when the lock is built.
+    pub fn per_attempt(self) -> bool {
+        self.has(PER_ATTEMPT)
     }
 
     /// Parse a CLI lock name (`one-shot`, `long-lived`, `mcs`, …) at
@@ -109,26 +181,16 @@ impl LockKind {
     /// When the name matches no known lock kind; the message lists the
     /// valid names.
     pub fn parse(name: &str, b: usize) -> Result<LockKind, String> {
-        Ok(match name {
-            "one-shot" => LockKind::OneShot { b },
-            "one-shot-plain" => LockKind::OneShotPlain { b },
-            "one-shot-dsm" => LockKind::OneShotDsm { b },
-            "long-lived" => LockKind::LongLived { b },
-            "long-lived-simple" => LockKind::LongLivedSimple { b },
-            "mcs" => LockKind::Mcs,
-            "ticket" => LockKind::Ticket,
-            "tas" => LockKind::Tas,
-            "tournament" => LockKind::Tournament,
-            "scott" => LockKind::Scott,
-            "lee" => LockKind::Lee,
-            "jj-amortized" => LockKind::JjAmortized,
-            other => {
-                return Err(format!(
-                    "unknown lock {other}; valid kinds: {}",
+        KINDS
+            .iter()
+            .find(|row| row.name == name)
+            .map(|row| (row.kind)(b))
+            .ok_or_else(|| {
+                format!(
+                    "unknown lock {name}; valid kinds: {}",
                     LockKind::NAMES.join(", ")
-                ))
-            }
-        })
+                )
+            })
     }
 
     /// Re-target the tree branching factor of the tree-based kinds
@@ -136,14 +198,7 @@ impl LockKind {
     /// parsing — which has no way to receive `b` — compose with a CLI
     /// `--b` flag: `name.parse::<LockKind>()?.with_branching(b)`.
     pub fn with_branching(self, b: usize) -> LockKind {
-        match self {
-            LockKind::OneShot { .. } => LockKind::OneShot { b },
-            LockKind::OneShotPlain { .. } => LockKind::OneShotPlain { b },
-            LockKind::OneShotDsm { .. } => LockKind::OneShotDsm { b },
-            LockKind::LongLivedSimple { .. } => LockKind::LongLivedSimple { b },
-            LockKind::LongLived { .. } => LockKind::LongLived { b },
-            other => other,
-        }
+        (self.row().kind)(b)
     }
 
     /// Every registered kind, in [`NAMES`](Self::NAMES) order, at
@@ -151,27 +206,15 @@ impl LockKind {
     /// registry-driven source for "run this over everything" loops
     /// (`table1`'s amortized column, `figures`, conformance grids).
     pub fn all(b: usize) -> Vec<LockKind> {
-        Self::NAMES
-            .iter()
-            .map(|name| LockKind::parse(name, b).expect("every NAMES entry parses"))
-            .collect()
+        KINDS.iter().map(|row| (row.kind)(b)).collect()
     }
 
     /// Whether the kind is a row of the Table-1 comparison: the
     /// abortable contenders, minus the ablation/model variants
     /// (`one-shot-plain`, `one-shot-dsm`, the unbounded-pool
     /// `long-lived-simple`) and the unbounded-RMR `tas` strawman.
-    /// New kinds appear in `table1`/`figures` automatically unless
-    /// they opt out here.
     pub fn in_table1(self) -> bool {
-        self.abortable()
-            && !matches!(
-                self,
-                LockKind::OneShotPlain { .. }
-                    | LockKind::OneShotDsm { .. }
-                    | LockKind::LongLivedSimple { .. }
-                    | LockKind::Tas
-            )
+        self.has(TABLE1)
     }
 
     /// The abortable contenders of Table 1 (rows of the comparison), at
@@ -196,10 +239,107 @@ impl std::str::FromStr for LockKind {
     }
 }
 
+/// Any lock in the workspace, one variant per [`LockKind`]: the lock
+/// type of every registry caller.
+///
+/// The set of kinds is closed, so dispatch is a `match` rather than a
+/// trait object; [`LockMeta`] and [`LockCore`] forward to the inner
+/// lock for every memory and probe type, which keeps the registry path
+/// statically dispatched end to end.
+#[derive(Debug)]
+pub enum AnyLock {
+    /// [`LockKind::OneShot`].
+    OneShot(OneShotLock),
+    /// [`LockKind::OneShotPlain`].
+    OneShotPlain(OneShotLock),
+    /// [`LockKind::OneShotDsm`].
+    OneShotDsm(DsmOneShotLock),
+    /// [`LockKind::LongLivedSimple`].
+    LongLivedSimple(SimpleLongLivedLock),
+    /// [`LockKind::LongLived`].
+    LongLived(BoundedLongLivedLock),
+    /// [`LockKind::Mcs`].
+    Mcs(McsLock),
+    /// [`LockKind::Ticket`].
+    Ticket(TicketLock),
+    /// [`LockKind::Tas`].
+    Tas(TasLock),
+    /// [`LockKind::Tournament`].
+    Tournament(TournamentLock),
+    /// [`LockKind::Scott`].
+    Scott(ScottLock),
+    /// [`LockKind::Lee`].
+    Lee(LeeLock),
+    /// [`LockKind::JjAmortized`].
+    JjAmortized(JjLock),
+}
+
+/// Evaluate `$body` with `$l` bound to the lock inside `$any`.
+macro_rules! dispatch {
+    ($any:expr, $l:ident => $body:expr) => {
+        match $any {
+            AnyLock::OneShot($l) | AnyLock::OneShotPlain($l) => $body,
+            AnyLock::OneShotDsm($l) => $body,
+            AnyLock::LongLivedSimple($l) => $body,
+            AnyLock::LongLived($l) => $body,
+            AnyLock::Mcs($l) => $body,
+            AnyLock::Ticket($l) => $body,
+            AnyLock::Tas($l) => $body,
+            AnyLock::Tournament($l) => $body,
+            AnyLock::Scott($l) => $body,
+            AnyLock::Lee($l) => $body,
+            AnyLock::JjAmortized($l) => $body,
+        }
+    };
+}
+
+impl AnyLock {
+    /// Lay `kind` out for `n` processes in a caller-supplied builder,
+    /// budgeting for `attempts` total enter attempts (see
+    /// [`LockKind::per_attempt`]). The caller picks the memory model:
+    /// [`build_lock`] builds CC memory, `hwscale` raw atomics and the
+    /// A3b ablation DSM memory.
+    pub fn layout(kind: LockKind, mem: &mut MemoryBuilder, n: usize, attempts: usize) -> AnyLock {
+        (kind.row().layout)(mem, n, kind.branching().unwrap_or(0), attempts)
+    }
+}
+
+impl LockMeta for AnyLock {
+    fn name(&self) -> String {
+        dispatch!(self, l => LockMeta::name(l))
+    }
+
+    fn is_abortable(&self) -> bool {
+        dispatch!(self, l => LockMeta::is_abortable(l))
+    }
+
+    fn is_one_shot(&self) -> bool {
+        dispatch!(self, l => LockMeta::is_one_shot(l))
+    }
+}
+
+impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for AnyLock {
+    #[inline]
+    fn enter_core<S: AbortSignal + ?Sized>(
+        &self,
+        mem: &M,
+        p: Pid,
+        signal: &S,
+        probe: &P,
+    ) -> Outcome {
+        dispatch!(self, l => LockCore::<M, P>::enter_core(l, mem, p, signal, probe))
+    }
+
+    #[inline]
+    fn exit_core(&self, mem: &M, p: Pid, probe: &P) {
+        dispatch!(self, l => LockCore::<M, P>::exit_core(l, mem, p, probe))
+    }
+}
+
 /// A built lock plus the memory and scratch word the harness needs.
 pub struct BuiltLock {
-    /// The lock, behind the uniform [`AbortableLock`] surface.
-    pub lock: Box<dyn AbortableLock>,
+    /// The lock.
+    pub lock: Box<AnyLock>,
     /// CC memory holding the lock's words.
     pub mem: CcMemory,
     /// Scratch word the CS body hammers.
@@ -216,29 +356,11 @@ impl std::fmt::Debug for BuiltLock {
     }
 }
 
-/// Build `kind` for `n` processes, budgeting for `attempts` total enter
-/// attempts (relevant for the arena-based baselines and the simple
-/// long-lived lock).
+/// Build `kind` for `n` processes over CC memory, budgeting for
+/// `attempts` total enter attempts (see [`LockKind::per_attempt`]).
 pub fn build_lock(kind: LockKind, n: usize, attempts: usize) -> BuiltLock {
     let mut b = MemoryBuilder::new();
-    let lock: Box<dyn AbortableLock> = match kind {
-        LockKind::OneShot { b: w } => Box::new(OneShotLock::layout(&mut b, n, w)),
-        LockKind::OneShotPlain { b: w } => {
-            Box::new(OneShotLock::layout_with(&mut b, n, w, Ascent::Plain))
-        }
-        LockKind::OneShotDsm { b: w } => Box::new(DsmOneShotLock::layout(&mut b, n, w)),
-        LockKind::LongLivedSimple { b: w } => {
-            Box::new(SimpleLongLivedLock::layout(&mut b, n, w, attempts + 1))
-        }
-        LockKind::LongLived { b: w } => Box::new(BoundedLongLivedLock::layout(&mut b, n, w)),
-        LockKind::Mcs => Box::new(McsLock::layout(&mut b, n)),
-        LockKind::Ticket => Box::new(TicketLock::layout(&mut b)),
-        LockKind::Tas => Box::new(TasLock::layout(&mut b)),
-        LockKind::Tournament => Box::new(TournamentLock::layout(&mut b, n)),
-        LockKind::Scott => Box::new(ScottLock::layout(&mut b, n, attempts + 1)),
-        LockKind::Lee => Box::new(LeeLock::layout(&mut b, n, attempts + 1)),
-        LockKind::JjAmortized => Box::new(JjLock::layout(&mut b, n)),
-    };
+    let lock = Box::new(AnyLock::layout(kind, &mut b, n, attempts));
     let words = b.words_allocated();
     let cs_word = b.alloc(0);
     BuiltLock {
@@ -253,19 +375,21 @@ pub fn build_lock(kind: LockKind, n: usize, attempts: usize) -> BuiltLock {
 mod tests {
     use super::*;
     use sal_memory::NeverAbort;
+    use sal_obs::NoProbe;
 
     #[test]
     fn every_kind_builds_and_takes_a_passage() {
-        // Registry-driven: every NAMES entry must build and run.
+        // Registry-driven: every NAMES entry must build and run, and
+        // the table's flags must agree with the built lock's metadata.
         for kind in LockKind::all(4) {
             let built = build_lock(kind, 4, 16);
-            let outcome = built
-                .lock
-                .enter(&built.mem, 0, &NeverAbort, &sal_obs::NoProbe);
+            let outcome = built.lock.enter_core(&built.mem, 0, &NeverAbort, &NoProbe);
             assert!(outcome.entered(), "{kind:?}");
-            built.lock.exit(&built.mem, 0, &sal_obs::NoProbe);
+            built.lock.exit_core(&built.mem, 0, &NoProbe);
             assert!(built.words > 0);
             assert!(!kind.label().is_empty());
+            assert_eq!(kind.abortable(), built.lock.is_abortable(), "{kind:?}");
+            assert_eq!(kind.one_shot(), built.lock.is_one_shot(), "{kind:?}");
         }
     }
 

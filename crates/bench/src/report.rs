@@ -143,6 +143,29 @@ pub fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
     }
 }
 
+/// Write a bench binary's acceptance artifact `BENCH_<name>.json`,
+/// exiting with status 1 when it cannot be written. A full run writes
+/// it at the repository root, where the committed copy lives; a
+/// `--smoke` run writes it under `target/experiments/`, so CI smoke
+/// runs never overwrite the committed artifact. Both locations resolve
+/// from this crate's manifest, independent of the working directory.
+pub fn save_artifact(name: &str, smoke: bool, value: &Json) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if smoke {
+        root.join("target/experiments")
+    } else {
+        root
+    };
+    let path = dir.join(format!("BENCH_{name}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, value.render())) {
+        Ok(()) => println!("(saved {})", path.display()),
+        Err(e) => {
+            eprintln!("could not write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
 /// [`save_json`], wrapping the result with the event-log truncation
 /// count of the run that produced it: the artifact becomes
 /// `{"dropped_events": N, "results": <value>}`, so a bounded log that

@@ -1,7 +1,7 @@
 //! The workload builders behind every Table-1 column.
 
 use crate::registry::{build_lock, LockKind};
-use sal_core::Immediate;
+use sal_core::{Immediate, LockCore};
 use sal_memory::{Layered, Mem, NeverAbort};
 use sal_obs::{AmortizedStats, Json, NoProbe, PassageStats, Probe, ToJson};
 use sal_runtime::{
@@ -334,12 +334,12 @@ pub fn amortized_companion(
                         .map(|k| (i + p).is_multiple_of(k))
                         .unwrap_or(false);
                     let ok = if want_abort {
-                        lock.enter(mem, p, &Immediate, &stats).entered()
+                        lock.enter_core(mem, p, &Immediate, &stats).entered()
                     } else {
-                        lock.enter(mem, p, &NeverAbort, &stats).entered()
+                        lock.enter_core(mem, p, &NeverAbort, &stats).entered()
                     };
                     if ok {
-                        lock.exit(mem, p, &stats);
+                        lock.exit_core(mem, p, &stats);
                     }
                 }
             });

@@ -16,6 +16,9 @@
 //!   ([`long_lived::SimpleLongLivedLock`]) and as the bounded-space version
 //!   of §6.2 with instance recycling, versioned lazy reset, and spin-node
 //!   reclamation ([`long_lived::BoundedLongLivedLock`]).
+//! * [`lock`] — the one lock interface every algorithm implements:
+//!   [`LockMeta`] (name, abortability) plus [`LockCore`], generic over
+//!   the memory, probe and abort-signal types.
 //! * [`abort`] / [`park`] — the production-surface support layer: the
 //!   always-fired [`abort::Immediate`] signal, the
 //!   [`abort::AbortReason`] vocabulary (deadline vs caller abort), and
@@ -66,6 +69,6 @@ pub mod resume;
 pub mod tree;
 
 pub use abort::{AbortReason, Immediate};
-pub use lock::{AbortableLock, DynLock, LockCore, LockMeta, Outcome};
+pub use lock::{LockCore, LockMeta, Outcome};
 pub use park::{ParkResult, Waiter};
 pub use resume::{EnterMachine, EnterStep, OneShotEnterMachine, WaitKind, WaitToken};

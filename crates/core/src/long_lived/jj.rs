@@ -426,7 +426,7 @@ mod tests {
                 lock.exit(mem, 1);
             });
             std::thread::sleep(std::time::Duration::from_millis(10));
-            lock.exit(&mem, 0);
+            lock.exit(mem, 0);
             t.join().unwrap();
             sig.set();
         });

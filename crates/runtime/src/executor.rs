@@ -109,6 +109,9 @@ const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 /// A wake arrived while RUNNING: the worker re-queues after the poll.
 const NOTIFIED: u8 = 3;
+/// The future completed. Terminal: wakes are ignored, so a stale waker
+/// can never re-queue the task and have it counted out a second time.
+const DONE: u8 = 4;
 
 /// One spawned future plus its scheduling state.
 struct Task {
@@ -144,6 +147,7 @@ impl ArcWake for Task {
                     }
                 }
                 // Already queued or already flagged: the wake coalesces.
+                // DONE: the task is gone and the wake is stale.
                 _ => return,
             }
         }
@@ -287,26 +291,15 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         task.state.store(RUNNING, Ordering::Release);
         let mut slot = task.future.lock().unwrap();
-        let done = match slot.as_mut() {
-            Some(fut) => {
-                let w = waker(Arc::clone(&task));
-                let mut cx = Context::from_waker(&w);
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(()) => {
-                        *slot = None; // drop the future eagerly
-                        true
-                    }
-                    Poll::Pending => false,
-                }
-            }
-            // Completed earlier; a straggler wake re-queued it.
-            None => true,
-        };
+        let fut = slot.as_mut().expect("a DONE task is never re-queued");
+        let w = waker(Arc::clone(&task));
+        let done = fut.as_mut().poll(&mut Context::from_waker(&w)).is_ready();
+        if done {
+            *slot = None; // drop the future eagerly
+        }
         drop(slot);
         if done {
-            if task.state.swap(IDLE, Ordering::AcqRel) == NOTIFIED {
-                // Harmless straggler: future is gone, nothing to do.
-            }
+            task.state.store(DONE, Ordering::Release);
             if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                 shared.cv.notify_all();
             }
@@ -573,5 +566,47 @@ mod tests {
         ex.spawn(WaitFlag(Arc::clone(&flag)));
         ex.run(2);
         assert!(flag.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn stale_wake_of_a_completed_task_is_ignored() {
+        // Task A leaves a clone of its waker behind and completes; task
+        // B fires that stale waker, then yields a few times. A must be
+        // counted out once, so `run` returns with nothing live. Run on
+        // a helper thread so that a hang fails the test instead of
+        // stalling the suite.
+        struct Yield(u32);
+        impl Future for Yield {
+            type Output = ();
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                if self.0 == 0 {
+                    return Poll::Ready(());
+                }
+                self.0 -= 1;
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        }
+        let stash: Arc<Mutex<Option<Waker>>> = Arc::default();
+        let ex = Executor::new();
+        let left = Arc::clone(&stash);
+        ex.spawn(async move {
+            let w = std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
+            *left.lock().unwrap() = Some(w);
+        });
+        ex.spawn(async move {
+            let stale = stash.lock().unwrap().take().expect("task A ran first");
+            stale.wake();
+            Yield(3).await;
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            ex.run(1);
+            tx.send(ex.live()).ok();
+        });
+        let live = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("Executor::run did not return after a stale wake");
+        assert_eq!(live, 0);
     }
 }

@@ -1,4 +1,4 @@
-//! Lock workload harness: drive any [`AbortableLock`] through the
+//! Lock workload harness: drive any [`LockCore`] lock through the
 //! simulator and collect per-passage RMR statistics and safety-check
 //! results — the engine behind every Table-1 and figure experiment.
 //!
@@ -14,7 +14,7 @@ use crate::events::{EventKind, FcfsViolation, MutexViolation};
 use crate::gate::SteppedMem;
 use crate::schedule::SchedulePolicy;
 use crate::sim::{simulate, SimError, SimOptions};
-use sal_core::{AbortableLock, DynLock, LockCore};
+use sal_core::LockCore;
 use sal_memory::{AbortSignal, Mem, SignalFn, WordId};
 use sal_obs::{probed, NoProbe, PassageRecord, PassageStats, Probe};
 
@@ -151,39 +151,7 @@ impl WorkloadReport {
 ///
 /// Propagates [`SimError`] (step-limit ⇒ livelock/starvation, or a body
 /// panic such as a capacity assertion).
-pub fn run_lock<M: Mem + ?Sized>(
-    lock: &dyn AbortableLock,
-    mem: &M,
-    cs_word: WordId,
-    spec: &WorkloadSpec,
-    policy: Box<dyn SchedulePolicy>,
-) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, false, NoProbe)
-}
-
-/// [`run_lock`] with an extra probe sink: every passage hook the run
-/// generates is fanned out to `probe` as well as the report's internal
-/// [`PassageStats`]. Pass a clone of a sink handle (or an
-/// `Arc<impl Probe>`) and keep the original for reading.
-pub fn run_lock_probed<M: Mem + ?Sized, U: Probe + 'static>(
-    lock: &dyn AbortableLock,
-    mem: &M,
-    cs_word: WordId,
-    spec: &WorkloadSpec,
-    policy: Box<dyn SchedulePolicy>,
-    probe: U,
-) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, false, probe)
-}
-
-/// Statically-dispatched [`run_lock`]: drive a lock through its
-/// [`LockCore`] impl, monomorphized for this harness's memory wrapper,
-/// with no `dyn` boundary between the harness and the algorithm.
-///
-/// Behaviour is identical to [`run_lock`] on the same lock — the `dyn`
-/// entry points are this function applied to [`DynLock`] — which is
-/// what `tests/mono_equivalence.rs` checks.
-pub fn run_lock_core<M, L>(
+pub fn run_lock<M, L>(
     lock: &L,
     mem: &M,
     cs_word: WordId,
@@ -197,52 +165,59 @@ where
     run_inner(lock, mem, cs_word, spec, policy, false, NoProbe)
 }
 
-/// [`run_lock_core`] with an extra probe sink (statically-dispatched
-/// analogue of [`run_lock_probed`]). `doorway_tickets` selects whether
-/// doorway tickets are recorded for the FCFS check, covering the
-/// [`run_one_shot`] flavour too.
-#[allow(clippy::too_many_arguments)]
-pub fn run_lock_core_probed<M, L, U>(
+/// [`run_lock`] with an extra probe sink: every passage hook the run
+/// generates is fanned out to `probe` as well as the report's internal
+/// [`PassageStats`]. Pass a clone of a sink handle (or an
+/// `Arc<impl Probe>`) and keep the original for reading.
+pub fn run_lock_probed<M, L, U>(
     lock: &L,
     mem: &M,
     cs_word: WordId,
     spec: &WorkloadSpec,
     policy: Box<dyn SchedulePolicy>,
-    doorway_tickets: bool,
     probe: U,
 ) -> Result<WorkloadReport, SimError>
 where
     M: Mem + ?Sized,
-    U: Probe + 'static,
+    U: Probe,
     L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, U)>,
 {
-    run_inner(lock, mem, cs_word, spec, policy, doorway_tickets, probe)
+    run_inner(lock, mem, cs_word, spec, policy, false, probe)
 }
 
 /// Like [`run_lock`], but additionally records doorway tickets (as
-/// reported by [`AbortableLock::enter`]'s [`Outcome`](sal_core::Outcome))
+/// reported by [`LockCore::enter_core`]'s [`Outcome`](sal_core::Outcome))
 /// so that the FCFS check is meaningful. Use with locks that have an
 /// FCFS doorway — the one-shot locks.
-pub fn run_one_shot<M: Mem + ?Sized>(
-    lock: &dyn AbortableLock,
+pub fn run_one_shot<M, L>(
+    lock: &L,
     mem: &M,
     cs_word: WordId,
     spec: &WorkloadSpec,
     policy: Box<dyn SchedulePolicy>,
-) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, true, NoProbe)
+) -> Result<WorkloadReport, SimError>
+where
+    M: Mem + ?Sized,
+    L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, NoProbe)>,
+{
+    run_inner(lock, mem, cs_word, spec, policy, true, NoProbe)
 }
 
 /// [`run_one_shot`] with an extra probe sink.
-pub fn run_one_shot_probed<M: Mem + ?Sized, U: Probe + 'static>(
-    lock: &dyn AbortableLock,
+pub fn run_one_shot_probed<M, L, U>(
+    lock: &L,
     mem: &M,
     cs_word: WordId,
     spec: &WorkloadSpec,
     policy: Box<dyn SchedulePolicy>,
     probe: U,
-) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, true, probe)
+) -> Result<WorkloadReport, SimError>
+where
+    M: Mem + ?Sized,
+    U: Probe,
+    L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, U)>,
+{
+    run_inner(lock, mem, cs_word, spec, policy, true, probe)
 }
 
 /// Run one independent simulation per seed on a pool of `jobs` workers
@@ -270,8 +245,7 @@ where
 
 /// The one workload driver behind every `run_*` entry point, generic
 /// over the lock's [`LockCore`] impl at the harness's stepped memory
-/// type. The `dyn`-dispatch flavour is this same function instantiated
-/// at [`DynLock`], so both flavours execute literally the same driver.
+/// type.
 #[allow(clippy::too_many_arguments)]
 fn run_inner<M, L, U>(
     lock: &L,
@@ -284,13 +258,11 @@ fn run_inner<M, L, U>(
 ) -> Result<WorkloadReport, SimError>
 where
     M: Mem + ?Sized,
-    U: Probe + 'static,
+    U: Probe,
     L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, U)>,
 {
     let nprocs = spec.plans.len();
     let stats = PassageStats::new();
-    // An owned pair of sinks: a `'static` probe type, as the
-    // trait-object lock API requires when `L` is a `DynLock`.
     let probe = (stats.clone(), user_probe);
     let opts = SimOptions {
         max_steps: spec.max_steps,

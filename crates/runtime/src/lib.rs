@@ -20,7 +20,7 @@
 //! * [`EventLog`] — step-stamped protocol events with post-hoc checkers
 //!   for mutual exclusion and FCFS.
 //! * [`run_lock`]/[`run_one_shot`] — a workload harness over any
-//!   [`sal_core::AbortableLock`]: roles (normal / aborting), per-passage
+//!   [`sal_core::LockCore`] lock: roles (normal / aborting), per-passage
 //!   RMR accounting through [`sal_obs::PassageStats`], safety verdicts.
 //!   The `_probed` variants fan every passage hook out to caller-supplied
 //!   sinks as well.
@@ -79,8 +79,8 @@ pub use explore::{
 };
 pub use gate::{stepped, StepGate, StepLayer, SteppedMem};
 pub use harness::{
-    par_runs, run_lock, run_lock_core, run_lock_core_probed, run_lock_probed, run_one_shot,
-    run_one_shot_probed, ProcPlan, Role, WorkloadReport, WorkloadSpec,
+    par_runs, run_lock, run_lock_probed, run_one_shot, run_one_shot_probed, ProcPlan, Role,
+    WorkloadReport, WorkloadSpec,
 };
 pub use pool::{default_jobs, par_map_indexed, resolve_jobs, run_jobs, Worker};
 pub use replay::{ParseRecordingError, Recorder, Recording, RecordingHandle, Replay};

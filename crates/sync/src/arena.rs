@@ -249,6 +249,10 @@ impl<T> Core<T> {
                 }
                 EnterStep::Aborted { .. } => {
                     slot.engaged.store(false, Ordering::SeqCst);
+                    // An abort can hand the lock on, writing a
+                    // successor's go word as an exit does (Algorithm
+                    // 3.3, line 15), so wake the parked enters too.
+                    self.wake_enter_waiters();
                     return false;
                 }
                 EnterStep::Pending(_) => {

@@ -431,6 +431,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
                 }
                 EnterStep::Aborted { .. } => {
                     self.m.probe.abort(pid, None);
+                    self.wake_enter_waiters();
                     self.pids.release(pid);
                     return None;
                 }
@@ -711,6 +712,10 @@ where
                     EnterStep::Aborted { .. } => {
                         slot.disengage();
                         mx.m.probe.abort(pid, None);
+                        // An abort can hand the lock on, writing a
+                        // successor's go word as an unlock does
+                        // (Algorithm 3.3, line 15): wake like one.
+                        mx.wake_enter_waiters();
                         mx.pids.release(pid);
                         *st = Acquire::Done;
                         return Poll::Ready(Err(reason));
@@ -765,6 +770,7 @@ where
                     }
                     EnterStep::Aborted { .. } => {
                         mx.m.probe.abort(pid, None);
+                        mx.wake_enter_waiters();
                         break;
                     }
                     // Unreachable under Immediate; re-poll defensively.

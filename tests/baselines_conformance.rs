@@ -4,6 +4,7 @@
 //! benchmarks compare the locks meaningfully.
 
 use sal_bench::{build_lock, LockKind};
+use sal_core::{LockCore, LockMeta};
 use sal_memory::Mem;
 use sal_runtime::{run_lock, ProcPlan, RandomSchedule, WorkloadSpec};
 
@@ -115,10 +116,13 @@ fn non_abortable_locks_ignore_signals() {
         sig.set();
         assert!(sig.is_set());
         assert!(
-            built.lock.enter(&built.mem, 0, &sig, &NoProbe).entered(),
+            built
+                .lock
+                .enter_core(&built.mem, 0, &sig, &NoProbe)
+                .entered(),
             "{kind:?}"
         );
-        built.lock.exit(&built.mem, 0, &NoProbe);
+        built.lock.exit_core(&built.mem, 0, &NoProbe);
         assert!(!built.lock.is_abortable());
     }
 }
@@ -140,12 +144,12 @@ fn pre_fired_signal_aborts_promptly_when_held() {
         let built = build_lock(kind, 3, 8);
         assert!(built
             .lock
-            .enter(&built.mem, 0, &NeverAbort, &NoProbe)
+            .enter_core(&built.mem, 0, &NeverAbort, &NoProbe)
             .entered());
         let sig = AbortFlag::new();
         sig.set();
         let before = built.mem.ops(1);
-        let outcome = built.lock.enter(&built.mem, 1, &sig, &NoProbe);
+        let outcome = built.lock.enter_core(&built.mem, 1, &sig, &NoProbe);
         assert!(
             outcome.aborted(),
             "{kind:?}: should abort while lock is held"
@@ -154,15 +158,15 @@ fn pre_fired_signal_aborts_promptly_when_held() {
             built.mem.ops(1) - before < 500,
             "{kind:?}: abort was not bounded"
         );
-        built.lock.exit(&built.mem, 0, &NoProbe);
+        built.lock.exit_core(&built.mem, 0, &NoProbe);
         // Lock remains usable by a third process.
         assert!(
             built
                 .lock
-                .enter(&built.mem, 2, &NeverAbort, &NoProbe)
+                .enter_core(&built.mem, 2, &NeverAbort, &NoProbe)
                 .entered(),
             "{kind:?}"
         );
-        built.lock.exit(&built.mem, 2, &NoProbe);
+        built.lock.exit_core(&built.mem, 2, &NoProbe);
     }
 }

@@ -1,31 +1,53 @@
-//! Differential test for the facade/core split: driving a lock through
-//! its generic [`LockCore`] impl (statically dispatched, the `hwscale`
-//! "mono" path) and through the type-erased [`AbortableLock`] facade
-//! (`DynLock`, what every `Box<dyn AbortableLock>` registry runs) must
-//! produce **identical** simulations — same passage records, same RMR
-//! totals, same step count, same event log — on scripted schedules and
-//! on seeded random sweeps, for every lock kind in the workspace.
+//! Differential test for registry dispatch: driving a lock through the
+//! registry's [`AnyLock`] (the one lock type `table1`, `figures`,
+//! `sweep`, `explore` and `hwscale` run) and through its concrete type
+//! must produce **identical** simulations — same passage records, same
+//! RMR totals, same step count, same event log — on scripted schedules
+//! and on seeded random sweeps, for every lock kind in the workspace.
+//! Test names read `<kind>_mono_equals_dyn`: "mono" is the concrete
+//! type, "dyn" the kind picked at run time through `AnyLock`.
 //!
-//! This is the contract that makes the split a refactor rather than a
-//! fork: the facade is the blanket impl of the core at `M = dyn Mem`,
-//! so no lock can behave differently depending on how it is dispatched.
+//! This is the contract that lets every registry caller stand in for
+//! the algorithm itself: `AnyLock` only forwards, so no lock can behave
+//! differently depending on how it is dispatched.
 
 use sal_baselines::{LeeLock, McsLock, ScottLock, TasLock, TicketLock, TournamentLock};
+use sal_bench::{AnyLock, LockKind};
 use sal_core::long_lived::{BoundedLongLivedLock, JjLock, SimpleLongLivedLock};
 use sal_core::one_shot::{DsmOneShotLock, OneShotLock};
-use sal_core::{AbortableLock, LockCore};
+use sal_core::LockCore;
 use sal_memory::{CcMemory, Mem, MemoryBuilder, Pid, WordId};
 use sal_obs::{NoProbe, PassageStats};
 use sal_runtime::{
-    run_lock, run_lock_core_probed, run_one_shot, ProcPlan, RandomSchedule, RoundRobin,
-    SchedulePolicy, Scripted, SteppedMem, WorkloadReport, WorkloadSpec,
+    run_lock, run_one_shot, ProcPlan, RandomSchedule, RoundRobin, SchedulePolicy, Scripted,
+    SteppedMem, WorkloadReport, WorkloadSpec,
 };
 
-fn build<L>(make: &impl Fn(&mut MemoryBuilder, usize) -> L, n: usize) -> (L, CcMemory, WordId) {
+type Policy<'p> = &'p dyn Fn() -> Box<dyn SchedulePolicy>;
+
+/// Lay a lock out with `make` and run `spec` on it, recording doorway
+/// tickets for the one-shot kinds.
+fn run<L>(
+    make: impl Fn(&mut MemoryBuilder, usize) -> L,
+    n: usize,
+    spec: &WorkloadSpec,
+    policy: Policy,
+    one_shot: bool,
+) -> (WorkloadReport, CcMemory)
+where
+    L: for<'a> LockCore<SteppedMem<'a, CcMemory>, (PassageStats, NoProbe)>,
+{
     let mut b = MemoryBuilder::new();
     let lock = make(&mut b, n);
-    let cs_word = b.alloc(0);
-    (lock, b.build_cc(n), cs_word)
+    let cs_word: WordId = b.alloc(0);
+    let mem = b.build_cc(n);
+    let report = if one_shot {
+        run_one_shot(&lock, &mem, cs_word, spec, policy())
+    } else {
+        run_lock(&lock, &mem, cs_word, spec, policy())
+    }
+    .expect("simulation failed");
+    (report, mem)
 }
 
 fn assert_reports_equal(label: &str, mono: &WorkloadReport, dynr: &WorkloadReport) {
@@ -49,37 +71,25 @@ fn assert_reports_equal(label: &str, mono: &WorkloadReport, dynr: &WorkloadRepor
     assert!(mono.mutex_check.is_ok(), "{label}: mutual exclusion");
 }
 
-/// Run the same (layout, workload, schedule) through both dispatch
-/// flavours and require identical reports. Fresh lock + memory per
-/// flavour: the runs share nothing but the construction recipe.
-fn check<L, F, P>(label: &str, make: F, n: usize, spec: &WorkloadSpec, policy: P, one_shot: bool)
-where
-    L: AbortableLock
-        + for<'a> LockCore<SteppedMem<'a, CcMemory>, (PassageStats, NoProbe)>
-        + 'static,
-    F: Fn(&mut MemoryBuilder, usize) -> L,
-    P: Fn() -> Box<dyn SchedulePolicy>,
+/// Run the same (layout, workload, schedule) on the concrete lock
+/// `make` builds and on `kind` laid out through [`AnyLock`] (budgeted
+/// for every attempt in `spec`), and require identical reports. Fresh
+/// lock + memory per run: the runs share nothing but the recipe.
+fn check<L>(
+    label: &str,
+    kind: LockKind,
+    make: impl Fn(&mut MemoryBuilder, usize) -> L,
+    n: usize,
+    spec: &WorkloadSpec,
+    policy: Policy,
+) where
+    L: for<'a> LockCore<SteppedMem<'a, CcMemory>, (PassageStats, NoProbe)>,
 {
-    let (mono_lock, mono_mem, mono_cs) = build(&make, n);
-    let mono = run_lock_core_probed(
-        &mono_lock,
-        &mono_mem,
-        mono_cs,
-        spec,
-        policy(),
-        one_shot,
-        NoProbe,
-    )
-    .expect("mono run failed");
-
-    let (dyn_lock, dyn_mem, dyn_cs) = build(&make, n);
-    let facade: &dyn AbortableLock = &dyn_lock;
-    let dynr = if one_shot {
-        run_one_shot(facade, &dyn_mem, dyn_cs, spec, policy())
-    } else {
-        run_lock(facade, &dyn_mem, dyn_cs, spec, policy())
-    }
-    .expect("dyn run failed");
+    let attempts = spec.plans.iter().map(|p| p.passages).sum();
+    let one_shot = kind.one_shot();
+    let (mono, mono_mem) = run(make, n, spec, policy, one_shot);
+    let any = |b: &mut MemoryBuilder, n| AnyLock::layout(kind, b, n, attempts);
+    let (dynr, dyn_mem) = run(any, n, spec, policy, one_shot);
 
     assert_reports_equal(label, &mono, &dynr);
     // The raw memory accounting agrees too, not just the probe's view.
@@ -128,27 +138,27 @@ fn seeds() -> impl Iterator<Item = u64> {
 
 /// Every long-lived kind, on a scripted schedule and a seeded sweep.
 macro_rules! long_lived_case {
-    ($test:ident, $make:expr, $n:expr, $passages:expr) => {
+    ($test:ident, $kind:expr, $make:expr, $n:expr, $passages:expr) => {
         #[test]
         fn $test() {
             let n = $n;
             let spec = mixed_spec(n, $passages);
             check(
                 concat!(stringify!($test), "/scripted"),
+                $kind,
                 $make,
                 n,
                 &spec,
-                || scripted(n),
-                false,
+                &|| scripted(n),
             );
             for seed in seeds() {
                 check(
                     &format!(concat!(stringify!($test), "/seed{}"), seed),
+                    $kind,
                     $make,
                     n,
                     &spec,
-                    || Box::new(RandomSchedule::seeded(seed)),
-                    false,
+                    &|| Box::new(RandomSchedule::seeded(seed)),
                 );
             }
         }
@@ -157,31 +167,53 @@ macro_rules! long_lived_case {
 
 long_lived_case!(
     bounded_long_lived_mono_equals_dyn,
+    LockKind::LongLived { b: 4 },
     |b, n| BoundedLongLivedLock::layout(b, n, 4),
     6,
     2
 );
 long_lived_case!(
     simple_long_lived_mono_equals_dyn,
+    LockKind::LongLivedSimple { b: 4 },
     |b, n| SimpleLongLivedLock::layout(b, n, 4, 6 * 2 + 1),
     6,
     2
 );
-long_lived_case!(tournament_mono_equals_dyn, TournamentLock::layout, 6, 2);
-long_lived_case!(tas_mono_equals_dyn, |b, _n| TasLock::layout(b), 4, 2);
+long_lived_case!(
+    tournament_mono_equals_dyn,
+    LockKind::Tournament,
+    TournamentLock::layout,
+    6,
+    2
+);
+long_lived_case!(
+    tas_mono_equals_dyn,
+    LockKind::Tas,
+    |b, _n| TasLock::layout(b),
+    4,
+    2
+);
 long_lived_case!(
     scott_mono_equals_dyn,
+    LockKind::Scott,
     |b, n| ScottLock::layout(b, n, 6 * 2 + 1),
     6,
     2
 );
 long_lived_case!(
     lee_mono_equals_dyn,
+    LockKind::Lee,
     |b, n| LeeLock::layout(b, n, 6 * 2 + 1),
     6,
     2
 );
-long_lived_case!(jj_mono_equals_dyn, JjLock::layout, 6, 2);
+long_lived_case!(
+    jj_mono_equals_dyn,
+    LockKind::JjAmortized,
+    JjLock::layout,
+    6,
+    2
+);
 
 /// The non-abortable classics run the no-abort flavour of the same
 /// differential check.
@@ -189,39 +221,29 @@ long_lived_case!(jj_mono_equals_dyn, JjLock::layout, 6, 2);
 fn classic_locks_mono_equals_dyn() {
     let n = 5;
     let spec = WorkloadSpec::uniform(n, 3);
+    let ticket = |b: &mut MemoryBuilder, _n| TicketLock::layout(b);
     check(
         "mcs/scripted",
+        LockKind::Mcs,
         McsLock::layout,
         n,
         &spec,
-        || scripted(n),
-        false,
+        &|| scripted(n),
     );
     check(
         "ticket/scripted",
-        |b, _n| TicketLock::layout(b),
+        LockKind::Ticket,
+        ticket,
         n,
         &spec,
-        || scripted(n),
-        false,
+        &|| scripted(n),
     );
     for seed in seeds() {
-        check(
-            &format!("mcs/seed{seed}"),
-            McsLock::layout,
-            n,
-            &spec,
-            || Box::new(RandomSchedule::seeded(seed)),
-            false,
-        );
-        check(
-            &format!("ticket/seed{seed}"),
-            |b, _n| TicketLock::layout(b),
-            n,
-            &spec,
-            || Box::new(RandomSchedule::seeded(seed)),
-            false,
-        );
+        let random = || -> Box<dyn SchedulePolicy> { Box::new(RandomSchedule::seeded(seed)) };
+        let label = format!("mcs/seed{seed}");
+        check(&label, LockKind::Mcs, McsLock::layout, n, &spec, &random);
+        let label = format!("ticket/seed{seed}");
+        check(&label, LockKind::Ticket, ticket, n, &spec, &random);
     }
 }
 
@@ -231,38 +253,28 @@ fn classic_locks_mono_equals_dyn() {
 fn one_shot_locks_mono_equals_dyn() {
     let n = 8;
     let spec = mixed_spec(n, 1);
+    let one_shot = (LockKind::OneShot { b: 4 }, |b: &mut MemoryBuilder, n| {
+        OneShotLock::layout(b, n, 4)
+    });
+    let dsm = (LockKind::OneShotDsm { b: 4 }, |b: &mut MemoryBuilder, n| {
+        DsmOneShotLock::layout(b, n, 4)
+    });
     check(
         "one-shot/scripted",
-        |b, n| OneShotLock::layout(b, n, 4),
+        one_shot.0,
+        one_shot.1,
         n,
         &spec,
-        || scripted(n),
-        true,
+        &|| scripted(n),
     );
-    check(
-        "one-shot-dsm/scripted",
-        |b, n| DsmOneShotLock::layout(b, n, 4),
-        n,
-        &spec,
-        || scripted(n),
-        true,
-    );
+    check("one-shot-dsm/scripted", dsm.0, dsm.1, n, &spec, &|| {
+        scripted(n)
+    });
     for seed in seeds() {
-        check(
-            &format!("one-shot/seed{seed}"),
-            |b, n| OneShotLock::layout(b, n, 4),
-            n,
-            &spec,
-            || Box::new(RandomSchedule::seeded(seed)),
-            true,
-        );
-        check(
-            &format!("one-shot-dsm/seed{seed}"),
-            |b, n| DsmOneShotLock::layout(b, n, 4),
-            n,
-            &spec,
-            || Box::new(RandomSchedule::seeded(seed)),
-            true,
-        );
+        let random = || -> Box<dyn SchedulePolicy> { Box::new(RandomSchedule::seeded(seed)) };
+        let label = format!("one-shot/seed{seed}");
+        check(&label, one_shot.0, one_shot.1, n, &spec, &random);
+        let label = format!("one-shot-dsm/seed{seed}");
+        check(&label, dsm.0, dsm.1, n, &spec, &random);
     }
 }
