@@ -6,6 +6,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Real-thread sal-sync suites run under a time bound: a lost wakeup or a
+# leaked lock then fails the gate instead of hanging it.
+bounded() { timeout 300 "$@"; }
+
 cargo build --release
 cargo test -q
 cargo test --release -q
@@ -33,9 +37,10 @@ cargo run --release -q -p sal-bench --bin hwscale -- --smoke
 # (writes target/experiments/BENCH_ccs.json; asserts evaluate <
 # broadcast on prodcons and the per-cell invariants internally). The
 # SAL_LEASE=1 run keeps the legacy per-step gate covered on the CCS
-# suite too.
-cargo test --release -q -p sal-bench --test ccs_api --test deadline_locking
-SAL_LEASE=1 cargo test --release -q -p sal-bench --test ccs_api
+# suite too. wait_layer covers the pid-and-wait layer shared by all
+# three surfaces (panicking predicates, wake after abort, pid reuse).
+bounded cargo test --release -q -p sal-bench --test ccs_api --test deadline_locking --test wait_layer
+SAL_LEASE=1 bounded cargo test --release -q -p sal-bench --test ccs_api
 cargo run --release -q -p sal-bench --bin ccsscale -- --smoke
 # Async surface: resumable enter core + AsyncAbortableMutex, where
 # dropping a pending lock future runs the bounded abort. The harness
@@ -45,8 +50,8 @@ cargo run --release -q -p sal-bench --bin ccsscale -- --smoke
 # gate like the CCS suite. Unsafe code in the waker plumbing is held to
 # clippy::undocumented_unsafe_blocks (enforced via the workspace lints
 # through `cargo clippy -- -D warnings` below).
-cargo test --release -q -p sal-bench --test async_mutex --test async_cancellation
-SAL_LEASE=1 cargo test --release -q -p sal-bench --test async_mutex --test async_cancellation
+bounded cargo test --release -q -p sal-bench --test async_mutex --test async_cancellation
+SAL_LEASE=1 bounded cargo test --release -q -p sal-bench --test async_mutex --test async_cancellation
 cargo run --release -q -p sal-bench --bin asyncscale -- --smoke
 # Keyed lock arena: the inline-word protocol is model-checked over
 # every interleaving (arena_protocol), the public surface stressed on
@@ -55,10 +60,10 @@ cargo run --release -q -p sal-bench --bin asyncscale -- --smoke
 # (writes target/experiments/BENCH_arena.json) asserts per-cell
 # lost-update and zero-leak invariants internally; the greps below pin
 # that the artifact actually records the resident-object bounds.
-cargo test --release -q -p sal-bench --test arena_protocol --test arena_api
-SAL_LEASE=1 cargo test --release -q -p sal-bench --test arena_protocol --test arena_api
-cargo test --release -q -p sal-sync arena
-SAL_LEASE=1 cargo test --release -q -p sal-sync arena
+bounded cargo test --release -q -p sal-bench --test arena_protocol --test arena_api
+SAL_LEASE=1 bounded cargo test --release -q -p sal-bench --test arena_protocol --test arena_api
+bounded cargo test --release -q -p sal-sync arena
+SAL_LEASE=1 bounded cargo test --release -q -p sal-sync arena
 cargo run --release -q -p sal-bench --bin arenascale -- --smoke
 grep -q '"max_built_cores_at_max_keys"' target/experiments/BENCH_arena.json
 grep -q '"resident_bounded":true' target/experiments/BENCH_arena.json

@@ -11,8 +11,8 @@
 //! ## Adaptive spin-then-park
 //!
 //! Before touching its condvar, a parking waiter first spins on the
-//! notification word for an adaptive budget, using the same calibration
-//! as the simulator's step-lease spin gate (`sal-runtime`): the budget
+//! notification word for an [`AdaptiveBudget`] — the one budget type,
+//! also used by the simulator's step-lease spin gate (`sal-runtime`): it
 //! **doubles** (capped) when spinning observed the wakeup — the waker
 //! responded within the spin window, so spinning is paying for itself —
 //! and **halves** (floored) when the waiter had to park anyway. Fast
@@ -29,7 +29,7 @@
 //! Callers must treat any park return as a hint and re-check their real
 //! condition (all of `sal-sync`'s waits do).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -49,29 +49,32 @@ const SPIN_MAX: u32 = 1 << 12;
 /// workload changes phase.
 const SPIN_MIN: u32 = 4;
 
-/// The doubling/halving spin budget shared with the simulator's spin
-/// gate (same constants, same growth rule); see the module docs.
+/// The doubling/halving spin budget of every spin-then-park wait in
+/// the workspace: `Waiter` parks and the simulator's step gate
+/// (`sal-runtime`) both use it; see the module docs.
 #[derive(Debug)]
-struct AdaptiveBudget {
+pub struct AdaptiveBudget {
     budget: AtomicU32,
-    enabled: AtomicBool,
+}
+
+impl Default for AdaptiveBudget {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AdaptiveBudget {
-    const fn new() -> Self {
+    /// A budget at its initial calibration.
+    pub const fn new() -> Self {
         AdaptiveBudget {
             budget: AtomicU32::new(SPIN_INIT),
-            enabled: AtomicBool::new(true),
         }
     }
 
     /// Spin until `observed` returns true or the budget runs out;
     /// returns whether the condition was observed. Hitting doubles the
     /// budget (capped), missing halves it (floored).
-    fn spin(&self, observed: impl Fn() -> bool) -> bool {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
+    pub fn spin(&self, observed: impl Fn() -> bool) -> bool {
         let budget = self.budget.load(Ordering::Relaxed);
         for _ in 0..budget {
             if observed() {
@@ -137,12 +140,6 @@ impl Waiter {
             cv: Condvar::new(),
             spin: AdaptiveBudget::new(),
         }
-    }
-
-    /// Enable or disable the adaptive spin phase (enabled by default).
-    /// Disabled, every park goes straight to the condvar.
-    pub fn set_spin(&self, enabled: bool) {
-        self.spin.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Deliver a notification token and wake the parked waiter, if any.
@@ -258,19 +255,6 @@ mod tests {
         let r = w.park_until(Some(start + Duration::from_millis(10)));
         assert_eq!(r, ParkResult::TimedOut);
         assert!(start.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn spin_disabled_still_parks_and_wakes() {
-        let w = Arc::new(Waiter::new());
-        w.set_spin(false);
-        let t = {
-            let w = Arc::clone(&w);
-            std::thread::spawn(move || w.park_until(Some(Instant::now() + Duration::from_secs(5))))
-        };
-        std::thread::sleep(Duration::from_millis(5));
-        w.unpark();
-        assert_eq!(t.join().unwrap(), ParkResult::Notified);
     }
 
     #[test]

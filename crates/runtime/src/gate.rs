@@ -35,7 +35,8 @@
 //!
 //! Both parking sides — a process awaiting its turn, the scheduler
 //! awaiting arrivals/turn-returns — first spin on an atomic for an
-//! adaptive budget before parking on their condvar. The budget grows
+//! adaptive budget (`sal_core::park::AdaptiveBudget`, the one `Waiter`
+//! parks with) before parking on their condvar. The budget grows
 //! when spinning observes the condition (the peer responded within the
 //! spin window) and shrinks when the waiter had to park, so workloads
 //! whose handoffs are fast (small simulations on idle machines) keep
@@ -48,9 +49,10 @@
 //! `notify_all` design would thundering-herd all `N` waiters on every
 //! step and make 256-process simulations quadratically slow in wakeups.
 
+use sal_core::park::AdaptiveBudget;
 use sal_memory::{Interceptor, Layered, Mem, OpKind, Pid, WordId};
 use std::panic;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Payload used to unwind simulated process threads on shutdown (step
@@ -59,56 +61,6 @@ pub(crate) struct Shutdown;
 
 /// Sentinel for "no leaseholder".
 const NO_HOLDER: usize = usize::MAX;
-
-/// Initial spin budget of an [`AdaptiveSpin`].
-const SPIN_INIT: u32 = 64;
-/// Budget ceiling: a handful of µs of spinning at most.
-const SPIN_MAX: u32 = 1 << 12;
-/// Budget floor: keeps the probe alive so budgets can regrow when the
-/// workload changes phase (a pure decay-to-zero could never recover).
-const SPIN_MIN: u32 = 4;
-
-/// An adaptive spin-then-park budget. `spin` polls `observed` for the
-/// current budget; seeing the condition doubles the budget (spinning
-/// paid off — keep doing it), missing halves it (we are about to pay
-/// for a park anyway, so stop burning cycles beforehand).
-struct AdaptiveSpin {
-    budget: AtomicU32,
-    enabled: AtomicBool,
-}
-
-impl AdaptiveSpin {
-    fn new() -> Self {
-        AdaptiveSpin {
-            budget: AtomicU32::new(SPIN_INIT),
-            enabled: AtomicBool::new(true),
-        }
-    }
-
-    fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Spin until `observed` returns true or the budget runs out.
-    /// Returns whether the condition was observed.
-    fn spin(&self, observed: impl Fn() -> bool) -> bool {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
-        let budget = self.budget.load(Ordering::Relaxed);
-        for _ in 0..budget {
-            if observed() {
-                self.budget
-                    .store(((budget << 1) | 1).min(SPIN_MAX), Ordering::Relaxed);
-                return true;
-            }
-            std::hint::spin_loop();
-        }
-        self.budget
-            .store((budget / 2).max(SPIN_MIN), Ordering::Relaxed);
-        false
-    }
-}
 
 struct GateState {
     /// Process currently allowed to take steps (one step, or a lease).
@@ -150,10 +102,13 @@ pub struct StepGate {
     /// Bumped (under the mutex) on every scheduler-relevant change;
     /// the scheduler's spin phase watches it instead of the mutex.
     sched_seq: AtomicU64,
+    /// Whether the adaptive spin phase runs before parking (see
+    /// [`set_spin`](Self::set_spin)).
+    spin: AtomicBool,
     /// Spin budget for processes awaiting their turn.
-    proc_spin: AdaptiveSpin,
+    proc_spin: AdaptiveBudget,
     /// Spin budget for the scheduler awaiting arrivals/returns.
-    sched_spin: AdaptiveSpin,
+    sched_spin: AdaptiveBudget,
 }
 
 impl std::fmt::Debug for StepGate {
@@ -190,8 +145,9 @@ impl StepGate {
             lease_left: AtomicU64::new(0),
             shutdown_flag: AtomicBool::new(false),
             sched_seq: AtomicU64::new(0),
-            proc_spin: AdaptiveSpin::new(),
-            sched_spin: AdaptiveSpin::new(),
+            spin: AtomicBool::new(true),
+            proc_spin: AdaptiveBudget::new(),
+            sched_spin: AdaptiveBudget::new(),
         }
     }
 
@@ -199,8 +155,12 @@ impl StepGate {
     /// Disabled reproduces the legacy park-only handoff exactly (used
     /// for the `lease = 1` reference path).
     pub fn set_spin(&self, enabled: bool) {
-        self.proc_spin.set_enabled(enabled);
-        self.sched_spin.set_enabled(enabled);
+        self.spin.store(enabled, Ordering::Relaxed);
+    }
+
+    /// Run the spin phase of one wait on `budget`, if spinning is on.
+    fn spin_on(&self, budget: &AdaptiveBudget, observed: impl Fn() -> bool) -> bool {
+        self.spin.load(Ordering::Relaxed) && budget.spin(observed)
     }
 
     /// Bump the scheduler sequence and wake it. Must be called with the
@@ -224,9 +184,9 @@ impl StepGate {
             }
             let seq = self.sched_seq.load(Ordering::Acquire);
             drop(s);
-            let observed = self
-                .sched_spin
-                .spin(|| self.sched_seq.load(Ordering::Acquire) != seq);
+            let observed = self.spin_on(&self.sched_spin, || {
+                self.sched_seq.load(Ordering::Acquire) != seq
+            });
             s = self.state.lock().unwrap();
             if cond(&s) {
                 return s;
@@ -315,7 +275,7 @@ impl StepGate {
             }
             // Adaptive spin on the lock-free holder word, then park.
             drop(s);
-            let observed = self.proc_spin.spin(|| {
+            let observed = self.spin_on(&self.proc_spin, || {
                 self.lease_holder.load(Ordering::Acquire) == p
                     || self.shutdown_flag.load(Ordering::Relaxed)
             });

@@ -23,22 +23,26 @@
 //!   O(currently contended keys), not O(keys): the practical analogue
 //!   of the paper's §6.2 bounded-space constructions.
 //!
-//! The contended path is the PR 7 resumable
-//! [`EnterMachine`](sal_core::EnterMachine) driven park-style: between
-//! `Pending` polls the waiter blocks on a per-pid adaptive
-//! spin-then-park [`Waiter`] slot instead of spinning, and each unlock
-//! hints every engaged slot awake (wakeups are hints; the machine
-//! re-polls). Deadlines and caller signals are injected as the lock's
-//! abort signal, so a waiter whose limit fires *while queued* abandons
-//! on the paper's bounded abort path.
+//! The contended path is the resumable
+//! [`EnterMachine`](sal_core::EnterMachine) driven park-style by the
+//! crate's one pid-and-wait layer (DESIGN.md §11): between `Pending`
+//! polls the waiter blocks on its pid's adaptive spin-then-park enter
+//! slot instead of spinning, and each unlock or abort hints every
+//! engaged slot awake (wakeups are hints; the machine re-polls).
+//! Deadlines and caller signals are injected as the lock's abort signal,
+//! so a waiter whose limit fires *while queued* abandons on the paper's
+//! bounded abort path.
 //!
 //! ## Concurrency limits, honestly stated
 //!
 //! * Per key, at most `core_capacity - 1` threads participate in the
 //!   core concurrently (one slot is the promotion proxy); further
-//!   arrivals queue FIFO-ish for a process slot and block on a condvar.
-//!   Conditional waiters hold their slot for the whole wait, so size
-//!   `core_capacity` above the expected concurrent waiters per key.
+//!   arrivals queue in FIFO order for a process slot and park until a
+//!   leaving participant hands its slot to the queue head. Conditional
+//!   waiters hold their slot for the whole wait, but at most
+//!   `core_capacity - 2` of them park at once, so a thread that can
+//!   make their predicates true always gets a slot; further conditional
+//!   waiters re-check with backoff instead of parking.
 //! * At most `pool` keys can be materialized at once. When the pool is
 //!   exhausted, additional contended keys fall back to a degraded
 //!   spin-with-backoff on the inline word (counted in
@@ -81,13 +85,12 @@
 //! assert_eq!(arena.stats().resident_cores, 0); // nothing materialized
 //! ```
 
-use crate::ccs::{CcsRegistry, RegistrationGuard, WakePolicy};
-use crate::{deadline_signal, timeout_deadline, AbortReason, Immediate};
+use crate::ccs::WakePolicy;
+use crate::wait::{check_held, EnterSlots, Limit, LockBase, PidPool};
+use crate::{timeout_deadline, AbortReason, Immediate};
 use sal_core::arena_word as word;
-use sal_core::long_lived::BoundedLongLivedLock;
-use sal_core::park::{ParkResult, Waiter};
-use sal_core::{EnterStep, LockCore};
-use sal_memory::{AbortSignal, MemoryBuilder, NeverAbort, Pid, RawMemory};
+use sal_core::LockCore;
+use sal_memory::{AbortSignal, NeverAbort, Pid};
 use sal_obs::NoProbe;
 use std::cell::UnsafeCell;
 use std::collections::hash_map::RandomState;
@@ -96,78 +99,13 @@ use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// The proxy pid a promoter enters a fresh core with, standing in for
-/// the inline holder; never handed out by the pid bank.
+/// the inline holder; withheld from the core's pid pool.
 const RESERVED: Pid = 0;
-
-/// Re-poll cadence for waits limited by an arbitrary caller signal
-/// (mirrors `ccs::SIGNAL_POLL`: nobody wakes us when a foreign signal
-/// fires, so parked waiters re-check on this period).
-const SIGNAL_POLL: Duration = Duration::from_micros(100);
-
-/// How a blocked arena wait is bounded; the park/checkout flavour of
-/// `ccs::Limit`, carried alongside the abort signal.
-#[derive(Debug, Clone, Copy)]
-enum Wait {
-    /// Block as long as it takes (`lock`, `lock_when`).
-    Forever,
-    /// Give up once the instant passes (deadline variants; the same
-    /// instant is injected as the lock's abort signal).
-    Until(Instant),
-    /// Re-poll the caller's signal every [`SIGNAL_POLL`] while blocked.
-    Poll,
-}
-
-impl Wait {
-    /// Whether this limit has expired (`signal` is the abort signal the
-    /// same entry point injected into the lock).
-    fn expired<S: AbortSignal + ?Sized>(
-        &self,
-        signal: &S,
-        reason: AbortReason,
-    ) -> Option<AbortReason> {
-        match self {
-            Wait::Forever => None,
-            Wait::Until(t) => (Instant::now() >= *t).then_some(reason),
-            Wait::Poll => signal.is_set().then_some(reason),
-        }
-    }
-
-    /// Park on `w` until notified or this limit expires; `None` means
-    /// notified (or spuriously woken — callers re-check), `Some` means
-    /// the limit ended the wait.
-    fn park<S: AbortSignal + ?Sized>(
-        &self,
-        w: &Waiter,
-        signal: &S,
-        reason: AbortReason,
-    ) -> Option<AbortReason> {
-        match self {
-            Wait::Forever => {
-                w.park_until(None);
-                None
-            }
-            Wait::Until(t) => match w.park_until(Some(*t)) {
-                ParkResult::Notified => None,
-                ParkResult::TimedOut => Some(reason),
-            },
-            Wait::Poll => loop {
-                match w.park_until(Some(Instant::now() + SIGNAL_POLL)) {
-                    ParkResult::Notified => return None,
-                    ParkResult::TimedOut => {
-                        if signal.is_set() {
-                            return Some(reason);
-                        }
-                    }
-                }
-            },
-        }
-    }
-}
 
 /// One logical lock: the inline word plus the protected value. Boxed
 /// inside the shard map and never removed while the arena lives, so
@@ -184,154 +122,27 @@ struct Shard<K, T> {
     map: RwLock<HashMap<K, Box<Entry<T>>>>,
 }
 
-/// Per-pid parking slot of a core's enter path: `engaged` is the
-/// published "I may be parked" hint unlockers scan.
-struct EnterSlot {
-    engaged: AtomicBool,
-    waiter: Waiter,
-}
-
-/// A pooled lock core: the paper lock, its memory, the participant
-/// count driving demotion, the pid bank, the enter parking slots, and
-/// the conditional-wait registry. Reused across materializations — a
-/// demoted core is returned with its lock free and registry empty.
+/// A pooled lock core: the wait layer's lock base (pid 0, the promotion
+/// proxy, withheld from its pool; enter slots for parked threads) plus
+/// the participant count driving demotion. Reused across
+/// materializations — a demoted core is returned with its lock free and
+/// registry empty.
 struct Core<T> {
-    mem: RawMemory,
-    lock: BoundedLongLivedLock,
+    base: LockBase<T, NoProbe>,
     /// Participant count (joiners, holders, the promotion proxy) or
     /// [`word::USERS_DEMOTING`]; see the protocol in the module docs.
     users: AtomicUsize,
-    pids: PidBank,
-    slots: Box<[EnterSlot]>,
-    ccs: CcsRegistry<T>,
 }
 
 impl<T> Core<T> {
     fn new(capacity: usize, branching: usize, policy: WakePolicy) -> Self {
-        let mut b = MemoryBuilder::new();
-        let lock = BoundedLongLivedLock::layout(&mut b, capacity, branching);
+        let mut base = LockBase::new(capacity, branching, policy, NoProbe);
+        base.pids = PidPool::new(RESERVED + 1..capacity);
+        base.enters = EnterSlots::new(capacity);
         Core {
-            mem: b.build_raw(capacity),
-            lock,
+            base,
             users: AtomicUsize::new(0),
-            pids: PidBank::new(capacity),
-            slots: (0..capacity)
-                .map(|_| EnterSlot {
-                    engaged: AtomicBool::new(false),
-                    waiter: Waiter::new(),
-                })
-                .collect(),
-            ccs: CcsRegistry::new(capacity, policy),
         }
-    }
-
-    /// Drive a resumable enter to resolution, parking between `Pending`
-    /// polls. Returns whether the lock was acquired (`false` = the
-    /// signal aborted the attempt on the bounded abort path).
-    ///
-    /// Lost-wakeup freedom is the Dekker pattern: the waiter stores
-    /// `engaged` (SeqCst) *before* the poll's go-word read, the
-    /// unlocker writes the go word (inside `exit_core`) *before*
-    /// scanning `engaged` — so either the poll sees the handoff or the
-    /// scan sees the engagement.
-    fn enter_parked<S: AbortSignal + ?Sized>(&self, pid: Pid, signal: &S, wait: &Wait) -> bool {
-        let mut machine = self.lock.begin_enter();
-        let slot = &self.slots[pid];
-        loop {
-            slot.engaged.store(true, Ordering::SeqCst);
-            match self
-                .lock
-                .poll_enter(&mut machine, &self.mem, pid, signal, &NoProbe)
-            {
-                EnterStep::Acquired { .. } => {
-                    slot.engaged.store(false, Ordering::SeqCst);
-                    return true;
-                }
-                EnterStep::Aborted { .. } => {
-                    slot.engaged.store(false, Ordering::SeqCst);
-                    // An abort can hand the lock on, writing a
-                    // successor's go word as an exit does (Algorithm
-                    // 3.3, line 15), so wake the parked enters too.
-                    self.wake_enter_waiters();
-                    return false;
-                }
-                EnterStep::Pending(_) => {
-                    // Timeouts re-poll with the (now fired) signal and
-                    // resolve through the machine's bounded abort.
-                    match wait {
-                        Wait::Forever => {
-                            slot.waiter.park_until(None);
-                        }
-                        Wait::Until(t) => {
-                            slot.waiter.park_until(Some(*t));
-                        }
-                        Wait::Poll => {
-                            slot.waiter.park_until(Some(Instant::now() + SIGNAL_POLL));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Unpark every engaged enter slot (hints — spurious wakes re-poll).
-    fn wake_enter_waiters(&self) {
-        for slot in self.slots.iter() {
-            if slot.engaged.load(Ordering::SeqCst) {
-                slot.waiter.unpark();
-            }
-        }
-    }
-}
-
-/// Blocking FIFO-ish checkout of core process slots (pids `1 ..
-/// capacity`; pid 0 is the promotion proxy). Threads beyond the core's
-/// capacity block here until a participant leaves.
-struct PidBank {
-    free: Mutex<Vec<Pid>>,
-    cv: Condvar,
-}
-
-impl PidBank {
-    fn new(capacity: usize) -> Self {
-        PidBank {
-            // Popped from the back; seeded descending so low pids go
-            // out first (cosmetic only).
-            free: Mutex::new((1..capacity).rev().collect()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Check out a pid, blocking under `wait`'s regime; `None` when the
-    /// limit expired first.
-    fn checkout<S: AbortSignal + ?Sized>(&self, wait: &Wait, signal: &S) -> Option<Pid> {
-        let mut free = self.free.lock().unwrap();
-        loop {
-            if let Some(p) = free.pop() {
-                return Some(p);
-            }
-            match wait {
-                Wait::Forever => free = self.cv.wait(free).unwrap(),
-                Wait::Until(t) => {
-                    let now = Instant::now();
-                    if now >= *t {
-                        return None;
-                    }
-                    free = self.cv.wait_timeout(free, *t - now).unwrap().0;
-                }
-                Wait::Poll => {
-                    if signal.is_set() {
-                        return None;
-                    }
-                    free = self.cv.wait_timeout(free, SIGNAL_POLL).unwrap().0;
-                }
-            }
-        }
-    }
-
-    fn release(&self, pid: Pid) {
-        self.free.lock().unwrap().push(pid);
-        self.cv.notify_one();
     }
 }
 
@@ -609,7 +420,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
     pub fn lock(&self, key: &K) -> ArenaGuard<'_, K, T> {
         let entry = self.entry(key);
         let mode = self
-            .acquire(entry, &NeverAbort, &Wait::Forever, AbortReason::Caller)
+            .acquire(entry, &Limit::<NeverAbort>::Forever)
             .expect("unbounded acquire cannot fail");
         self.guard(entry, mode)
     }
@@ -625,7 +436,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         signal: &(impl AbortSignal + ?Sized),
     ) -> Option<ArenaGuard<'_, K, T>> {
         let entry = self.entry(key);
-        self.acquire(entry, signal, &Wait::Poll, AbortReason::Caller)
+        self.acquire(entry, &Limit::Signal(signal))
             .ok()
             .map(|mode| self.guard(entry, mode))
     }
@@ -647,14 +458,9 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
     /// Acquire unless the deadline passes first.
     pub fn try_lock_until(&self, key: &K, deadline: Instant) -> Option<ArenaGuard<'_, K, T>> {
         let entry = self.entry(key);
-        self.acquire(
-            entry,
-            &deadline_signal(deadline),
-            &Wait::Until(deadline),
-            AbortReason::Deadline,
-        )
-        .ok()
-        .map(|mode| self.guard(entry, mode))
+        self.acquire(entry, &Limit::<NeverAbort>::Until(deadline))
+            .ok()
+            .map(|mode| self.guard(entry, mode))
     }
 
     // ---- conditional acquisition --------------------------------------
@@ -670,13 +476,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
     {
         let entry = self.entry(key);
         let mode = self
-            .acquire_when(
-                entry,
-                &pred,
-                &NeverAbort,
-                &Wait::Forever,
-                AbortReason::Caller,
-            )
+            .acquire_when(entry, &pred, &Limit::<NeverAbort>::Forever)
             .expect("unbounded lock_when cannot fail");
         self.guard(entry, mode)
     }
@@ -706,13 +506,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         F: Fn(&T) -> bool + Sync,
     {
         let entry = self.entry(key);
-        let mode = self.acquire_when(
-            entry,
-            &pred,
-            &deadline_signal(deadline),
-            &Wait::Until(deadline),
-            AbortReason::Deadline,
-        )?;
+        let mode = self.acquire_when(entry, &pred, &Limit::<NeverAbort>::Until(deadline))?;
         Ok(self.guard(entry, mode))
     }
 
@@ -728,7 +522,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         F: Fn(&T) -> bool + Sync,
     {
         let entry = self.entry(key);
-        let mode = self.acquire_when(entry, &pred, signal, &Wait::Poll, AbortReason::Caller)?;
+        let mode = self.acquire_when(entry, &pred, &Limit::Signal(signal))?;
         Ok(self.guard(entry, mode))
     }
 
@@ -776,9 +570,7 @@ impl<K, T> Arena<K, T> {
     fn acquire<S: AbortSignal + ?Sized>(
         &self,
         entry: &Entry<T>,
-        signal: &S,
-        wait: &Wait,
-        reason: AbortReason,
+        limit: &Limit<'_, S>,
     ) -> Result<Mode, AbortReason> {
         let mut backoff = 0u32;
         loop {
@@ -800,15 +592,12 @@ impl<K, T> Arena<K, T> {
                 word::WordState::LockedInline => {
                     // A pre-fired signal (try_lock) fails fast here
                     // without materializing anything.
-                    if signal.is_set() {
-                        return Err(reason);
+                    if let Some(r) = limit.expired() {
+                        return Err(r);
                     }
                     match self.promote(entry) {
                         Promote::Done | Promote::Raced => {}
                         Promote::Exhausted => {
-                            if let Some(r) = wait.expired(signal, reason) {
-                                return Err(r);
-                            }
                             self.fallback_spins.fetch_add(1, Ordering::Relaxed);
                             backoff_step(&mut backoff);
                         }
@@ -820,16 +609,15 @@ impl<K, T> Arena<K, T> {
                     if !self.join(entry, core, idx) {
                         continue;
                     }
-                    let Some(pid) = core.pids.checkout(wait, signal) else {
+                    let Some(pid) = core.base.pids.checkout(limit) else {
                         self.depart(entry, core, idx);
-                        return Err(reason);
+                        return Err(limit.reason());
                     };
-                    if core.enter_parked(pid, signal, wait) {
+                    if core.base.enter_parked(pid, limit) {
                         return Ok(Mode::Core { idx, pid });
                     }
-                    core.pids.release(pid);
-                    self.depart(entry, core, idx);
-                    return Err(reason);
+                    self.unseat(entry, core, idx, pid);
+                    return Err(limit.reason());
                 }
             }
         }
@@ -843,9 +631,7 @@ impl<K, T> Arena<K, T> {
         &self,
         entry: &Entry<T>,
         pred: &F,
-        signal: &S,
-        wait: &Wait,
-        reason: AbortReason,
+        limit: &Limit<'_, S>,
     ) -> Result<Mode, AbortReason>
     where
         F: Fn(&T) -> bool + Sync,
@@ -853,45 +639,52 @@ impl<K, T> Arena<K, T> {
     {
         let mut backoff = 0u32;
         'fresh: loop {
-            let mut mode = self.acquire(entry, signal, wait, reason)?;
+            let mut mode = self.acquire(entry, limit)?;
             let mut woken = false;
             loop {
-                // Safety: we hold the key's lock (in either mode).
-                if pred(unsafe { &*entry.data.get() }) {
+                if check_held(&entry.data, pred, || self.unlock(entry, mode)) {
                     return Ok(mode);
                 }
                 if let Mode::Core { idx, .. } = mode {
                     if woken {
-                        self.pool.get(idx).ccs.note_futile();
+                        self.pool.get(idx).base.ccs.note_futile();
                     }
                 }
-                if let Some(r) = wait.expired(signal, reason) {
+                if let Some(r) = limit.expired() {
                     self.unlock(entry, mode);
                     return Err(r);
                 }
                 match mode {
                     Mode::Core { idx, pid } => {
                         let core = self.pool.get(idx);
-                        let reg = RegistrationGuard::register(&core.ccs, pid, pred);
-                        // Release while keeping our pid and users seat —
-                        // a registered waiter must block demotion (its
-                        // registration lives in this core).
-                        self.core_exit(entry, core, pid);
-                        core.ccs.note_wait();
-                        let expired = wait.park(core.ccs.cond_waiter(pid), signal, reason);
-                        let notified = reg.deregister();
-                        if let Some(r) = expired {
-                            core.pids.release(pid);
-                            self.depart(entry, core, idx);
-                            return Err(r);
+                        // Parking would take the core's last pid no
+                        // parked waiter holds, locking out every thread
+                        // that could make `pred` true: retry instead.
+                        if !core.base.pids.hold_parked() {
+                            self.unlock(entry, mode);
+                            backoff_step(&mut backoff);
+                            continue 'fresh;
                         }
-                        woken = notified;
+                        // Wait keeping our pid and users seat — a
+                        // registered waiter must block demotion (its
+                        // registration lives in this core).
+                        let waited = core.base.cond_wait(pid, &entry.data, pred, limit);
+                        core.base.pids.unhold_parked();
                         // Re-acquire through the core with the seat we
                         // kept; an abort here ends the whole wait.
-                        if !core.enter_parked(pid, signal, wait) {
-                            core.pids.release(pid);
-                            self.depart(entry, core, idx);
-                            return Err(reason);
+                        let reentered = waited.and_then(|notified| {
+                            if core.base.enter_parked(pid, limit) {
+                                Ok(notified)
+                            } else {
+                                Err(limit.reason())
+                            }
+                        });
+                        match reentered {
+                            Ok(notified) => woken = notified,
+                            Err(r) => {
+                                self.unseat(entry, core, idx, pid);
+                                return Err(r);
+                            }
                         }
                     }
                     Mode::Inline => {
@@ -933,8 +726,9 @@ impl<K, T> Arena<K, T> {
         let core = self.pool.get(idx);
         core.users.fetch_add(1, Ordering::SeqCst); // the proxy's seat
         let outcome = core
+            .base
             .lock
-            .enter_core(&core.mem, RESERVED, &NeverAbort, &NoProbe);
+            .enter_core(&core.base.mem, RESERVED, &NeverAbort, &NoProbe);
         debug_assert!(outcome.entered(), "fresh core acquires immediately");
         if entry
             .word
@@ -949,7 +743,7 @@ impl<K, T> Arena<K, T> {
             self.promotions.fetch_add(1, Ordering::Relaxed);
             Promote::Done
         } else {
-            core.lock.exit_core(&core.mem, RESERVED, &NoProbe);
+            core.base.lock.exit_core(&core.base.mem, RESERVED, &NoProbe);
             core.users.fetch_sub(1, Ordering::SeqCst);
             self.pool.release(idx);
             self.raced_promotions.fetch_add(1, Ordering::Relaxed);
@@ -965,11 +759,9 @@ impl<K, T> Arena<K, T> {
         };
         let core = self.pool.get(idx);
         core.users.fetch_add(1, Ordering::SeqCst);
-        let pid = core
-            .pids
-            .checkout(&Wait::Poll, &Immediate)
-            .expect("fresh core has free pids");
-        let outcome = core.lock.enter_core(&core.mem, pid, &NeverAbort, &NoProbe);
+        let base = &core.base;
+        let pid = base.pids.try_checkout().expect("fresh core has free pids");
+        let outcome = base.lock.enter_core(&base.mem, pid, &NeverAbort, &NoProbe);
         debug_assert!(outcome.entered(), "fresh core acquires immediately");
         if entry
             .word
@@ -986,8 +778,8 @@ impl<K, T> Arena<K, T> {
         } else {
             // A concurrent promoter won the publish; its proxy now
             // models our hold. Undo our core entirely.
-            core.lock.exit_core(&core.mem, pid, &NoProbe);
-            core.pids.release(pid);
+            base.lock.exit_core(&base.mem, pid, &NoProbe);
+            base.pids.release(pid);
             core.users.fetch_sub(1, Ordering::SeqCst);
             self.pool.release(idx);
             self.raced_promotions.fetch_add(1, Ordering::Relaxed);
@@ -1059,20 +851,10 @@ impl<K, T> Arena<K, T> {
         }
     }
 
-    /// Release a core hold: evaluate registered conditions under the
-    /// lock (unlock-side evaluation, as the mutex does), exit, wake.
-    /// Keeps the caller's pid and users seat.
-    fn core_exit(&self, entry: &Entry<T>, core: &Core<T>, pid: Pid) {
-        if core.ccs.has_waiters() {
-            // Safety: we hold the key's lock; the value is stable under
-            // the registered conditions.
-            let set = core.ccs.evaluate(pid, unsafe { &*entry.data.get() });
-            core.lock.exit_core(&core.mem, pid, &NoProbe);
-            core.ccs.wake(&set);
-        } else {
-            core.lock.exit_core(&core.mem, pid, &NoProbe);
-        }
-        core.wake_enter_waiters();
+    /// Give up a core participation: return the pid, then the seat.
+    fn unseat(&self, entry: &Entry<T>, core: &Core<T>, idx: u32, pid: Pid) {
+        core.base.pids.release(pid);
+        self.depart(entry, core, idx);
     }
 
     /// Full release of a held key in either mode.
@@ -1099,14 +881,13 @@ impl<K, T> Arena<K, T> {
                 };
                 let idx = idx as u32;
                 let core = self.pool.get(idx);
-                self.core_exit(entry, core, RESERVED);
+                core.base.release(RESERVED, &entry.data);
                 self.depart(entry, core, idx);
             }
             Mode::Core { idx, pid } => {
                 let core = self.pool.get(idx);
-                self.core_exit(entry, core, pid);
-                core.pids.release(pid);
-                self.depart(entry, core, idx);
+                core.base.release(pid, &entry.data);
+                self.unseat(entry, core, idx, pid);
             }
         }
     }

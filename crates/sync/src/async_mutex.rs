@@ -12,7 +12,7 @@
 //! Most queue locks cannot do that (their waiters must be handed the
 //! lock before they can leave, so cancellation degrades to "acquire,
 //! then release"). This lock can: `Drop` resolves the enter machine
-//! with the pre-fired [`Immediate`] signal, which runs the paper's
+//! with the pre-fired [`Immediate`](crate::Immediate) signal, which runs the paper's
 //! abort path — Tree.remove, conditional rescue, Cleanup — in the
 //! dropping thread's own bounded number of steps (§4–§6 of the paper;
 //! the `tests/async_cancellation.rs` harness measures the ≤ 300-op
@@ -24,33 +24,43 @@
 //! sans-IO state machine ([`sal_core::resume::EnterMachine`]) plus a
 //! blocking driver. This module is simply a *second driver*: each poll
 //! of a lock future advances the machine one step
-//! ([`EnterStep::Pending`] ⇒ store a [`Waker`], suspend), and each
-//! unlock wakes the suspended enter waiters to re-poll. Three layers:
+//! ([`EnterStep::Pending`](sal_core::EnterStep::Pending) ⇒ store a
+//! [`Waker`](std::task::Waker), suspend), and each unlock wakes the
+//! suspended enter waiters to re-poll. The pids, the enter slots and the
+//! release path are the crate's one pid-and-wait layer (DESIGN.md §11),
+//! shared with the sync handles and the arena. Three layers:
 //!
 //! 1. **Pid checkout.** The algorithm needs stable process identities
 //!    and is capacity-bounded, but tasks outnumber pids (10 000 tasks
-//!    on a 16-pid mutex is the intended shape). A FIFO pid pool hands
-//!    each future a pid for the duration of its attempt; futures beyond
-//!    the capacity queue on the pool (released pids are granted
-//!    directly to the queue head, so admission is FIFO and barge-free).
+//!    on a 16-pid mutex is the intended shape). The mutex's FIFO pid
+//!    pool hands each future a pid for the duration of its attempt;
+//!    futures beyond the capacity queue a ticket carrying their waker
+//!    (released pids are granted directly to the queue head, so
+//!    admission is FIFO and barge-free).
 //! 2. **Enter polling.** With a pid, the future polls the enter
-//!    machine. The lost-wakeup race is closed by ordering: the waiter
-//!    stores its waker *before* the machine reads its watched go word,
-//!    and the unlocker writes the go word (inside `exit`) *before*
-//!    collecting wakers — whichever of the two orders the race
-//!    resolves to, either the waiter sees the nonzero word or the
-//!    unlocker sees the waker.
-//! 3. **Unlock broadcast.** The unlocker does not know which pid the
+//!    machine through the waker back-end of its pid's enter slot. The
+//!    lost-wakeup race is closed by ordering: the waiter engages the
+//!    slot and stores its waker *before* the machine reads its watched
+//!    go word, and the releaser writes the go word *before* scanning
+//!    the slots — whichever of the two orders the race resolves to,
+//!    either the waiter sees the nonzero word or the releaser sees the
+//!    waker.
+//! 3. **Wake broadcast.** The releaser does not know which pid the
 //!    protocol will hand the lock to (that knowledge lives in the
 //!    queue's go words), so it wakes every *engaged* enter waiter — a
 //!    hint, not a grant; woken waiters whose word is still zero go
 //!    straight back to sleep and are counted as
-//!    [`AsyncStats::futile_enter_wakeups`].
+//!    [`AsyncStats::futile_enter_wakeups`]. Aborts wake the same way as
+//!    unlocks: an abort can hand the lock on (Algorithm 3.3, line 15).
 //!
 //! Conditional critical sections ride the sync registry: an async
 //! `lock_when` registers its predicate in the same per-pid slot the
 //! blocking `lock_when` uses, and unlock-side evaluation fires its
-//! waker instead of an unpark. The evaluate-vs-broadcast economics
+//! waker instead of an unpark. A registered task keeps its pid while it
+//! waits, so at most `capacity - 1` tasks park that way; a further
+//! waiter whose predicate is false releases its pid and retries after
+//! yielding, which keeps a pid free for the task that can satisfy the
+//! others. The evaluate-vs-broadcast economics
 //! ([`WakePolicy`](crate::WakePolicy)) therefore apply unchanged to
 //! tasks — `asyncscale` measures them on the async path.
 //!
@@ -79,192 +89,24 @@
 // `// Safety:` justification.
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+use crate::wait::{check_held, EnterSlots, PidTicket};
 use crate::{deadline_signal, timeout_deadline, AbortableMutex, AbortableMutexBuilder};
-use sal_core::resume::{EnterMachine, EnterStep};
-use sal_core::{AbortReason, Immediate};
+use sal_core::resume::EnterMachine;
+use sal_core::AbortReason;
 use sal_memory::{AbortSignal, Deadline, NeverAbort, Pid};
-use sal_obs::{probed, NoProbe, Probe};
-use std::collections::VecDeque;
+use sal_obs::{NoProbe, Probe};
 use std::fmt;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
-
-/// A task waiting for a pid. Granted pids are handed to the ticket
-/// directly (never parked back in the free list), which keeps admission
-/// FIFO; a cancelled ticket is skipped by the grantor.
-struct PidTicket {
-    state: Mutex<TicketState>,
-}
-
-enum TicketState {
-    /// In the queue; the waker (if any) is fired on grant.
-    Waiting(Option<Waker>),
-    /// A releaser handed this ticket a pid; the future consumes it on
-    /// its next poll (or releases it from `Drop` if cancelled first).
-    Granted(Pid),
-    /// Consumed or cancelled — the ticket is dead either way.
-    Dead,
-}
-
-impl PidTicket {
-    /// Take the granted pid if one arrived, else re-arm the waker.
-    fn poll_granted(&self, waker: &Waker) -> Option<Pid> {
-        let mut st = self.state.lock().unwrap();
-        match *st {
-            TicketState::Granted(pid) => {
-                *st = TicketState::Dead;
-                Some(pid)
-            }
-            TicketState::Waiting(_) => {
-                *st = TicketState::Waiting(Some(waker.clone()));
-                None
-            }
-            TicketState::Dead => unreachable!("pid ticket polled after death"),
-        }
-    }
-
-    /// Cancel from `Drop`; returns a pid that must be put back if the
-    /// grant raced the cancellation.
-    fn cancel(&self) -> Option<Pid> {
-        let mut st = self.state.lock().unwrap();
-        match std::mem::replace(&mut *st, TicketState::Dead) {
-            TicketState::Granted(pid) => Some(pid),
-            TicketState::Waiting(_) | TicketState::Dead => None,
-        }
-    }
-}
-
-/// The pid freelist + FIFO admission queue. Invariant: the free list
-/// and the live portion of the queue are never both non-empty (a
-/// release grants to the queue head before feeding the free list), so
-/// a fresh future popping the free list cannot barge past queued ones.
-struct PidPool {
-    inner: Mutex<PoolInner>,
-}
-
-struct PoolInner {
-    free: Vec<Pid>,
-    queue: VecDeque<Arc<PidTicket>>,
-}
-
-impl PidPool {
-    fn new(capacity: usize) -> Self {
-        PidPool {
-            inner: Mutex::new(PoolInner {
-                // Reversed so `pop` hands out pid 0 first (cosmetic).
-                free: (0..capacity).rev().collect(),
-                queue: VecDeque::new(),
-            }),
-        }
-    }
-
-    /// Non-waiting checkout (`try_lock`).
-    fn try_checkout(&self) -> Option<Pid> {
-        self.inner.lock().unwrap().free.pop()
-    }
-
-    /// Checkout a pid now, or join the admission queue.
-    fn checkout_or_enqueue(&self, waker: &Waker) -> Result<Pid, Arc<PidTicket>> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(pid) = inner.free.pop() {
-            return Ok(pid);
-        }
-        let ticket = Arc::new(PidTicket {
-            state: Mutex::new(TicketState::Waiting(Some(waker.clone()))),
-        });
-        inner.queue.push_back(Arc::clone(&ticket));
-        Err(ticket)
-    }
-
-    /// Return `pid`: granted to the first live queued ticket, else
-    /// parked in the free list. The grantee's waker fires outside the
-    /// pool lock.
-    fn release(&self, pid: Pid) {
-        let waker = {
-            let mut inner = self.inner.lock().unwrap();
-            let mut granted = None;
-            while let Some(ticket) = inner.queue.pop_front() {
-                let mut st = ticket.state.lock().unwrap();
-                match &mut *st {
-                    TicketState::Dead => continue,
-                    TicketState::Waiting(w) => {
-                        let w = w.take();
-                        *st = TicketState::Granted(pid);
-                        granted = Some(w);
-                        break;
-                    }
-                    TicketState::Granted(_) => {
-                        unreachable!("queued ticket already holds a pid")
-                    }
-                }
-            }
-            match granted {
-                Some(w) => w,
-                None => {
-                    inner.free.push(pid);
-                    None
-                }
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
-    fn free_len(&self) -> usize {
-        self.inner.lock().unwrap().free.len()
-    }
-
-    fn queued(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .queue
-            .iter()
-            .filter(|t| matches!(*t.state.lock().unwrap(), TicketState::Waiting(_)))
-            .count()
-    }
-}
-
-/// Per-pid parking slot for a suspended *enter* (lock-queue) waiter.
-struct EnterSlot {
-    /// A pending enter future is parked on this pid — unlockers should
-    /// hint it.
-    engaged: AtomicBool,
-    /// Set by the unlocker that woke this slot; the waiter swaps it out
-    /// to attribute its wake (futile-wakeup accounting).
-    hint: AtomicBool,
-    waker: Mutex<Option<Waker>>,
-}
-
-impl EnterSlot {
-    fn new() -> Self {
-        EnterSlot {
-            engaged: AtomicBool::new(false),
-            hint: AtomicBool::new(false),
-            waker: Mutex::new(None),
-        }
-    }
-
-    fn set_waker(&self, w: &Waker) {
-        *self.waker.lock().unwrap() = Some(w.clone());
-    }
-
-    fn disengage(&self) {
-        self.engaged.store(false, Ordering::SeqCst);
-        self.waker.lock().unwrap().take();
-    }
-}
 
 #[derive(Default)]
 struct StatsInner {
-    enter_wakeups: AtomicU64,
-    futile_enter_wakeups: AtomicU64,
     pid_waits: AtomicU64,
     cancelled_pending: AtomicU64,
 }
@@ -328,8 +170,6 @@ pub struct AsyncStats {
 /// assert_eq!(*Arc::try_unwrap(m).unwrap().get_mut(), 100);
 /// ```
 pub struct AsyncAbortableMutex<T: ?Sized, P: Probe = NoProbe> {
-    pids: PidPool,
-    slots: Box<[EnterSlot]>,
     stats: StatsInner,
     m: AbortableMutex<T, P>,
 }
@@ -339,10 +179,9 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     /// capacity / branching / wake-policy / probe knobs as
     /// [`build`](Self::build)).
     pub fn build_async(self) -> AsyncAbortableMutex<T, P> {
-        let m = self.build();
+        let mut m = self.build();
+        m.base.enters = EnterSlots::new(m.capacity);
         AsyncAbortableMutex {
-            pids: PidPool::new(m.capacity()),
-            slots: (0..m.capacity()).map(|_| EnterSlot::new()).collect(),
             stats: StatsInner::default(),
             m,
         }
@@ -414,30 +253,14 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// One near-immediate attempt, synchronously: `None` if the lock is
     /// held *or* all pids are checked out by in-flight futures.
     pub fn try_lock(&self) -> Option<AsyncMutexGuard<'_, T, P>> {
-        let pid = self.pids.try_checkout()?;
-        let mut machine = self.m.lock.begin_enter();
-        self.m.probe.enter_begin(pid);
-        loop {
-            let step = {
-                let pm = probed(&self.m.mem, &self.m.probe);
-                self.m
-                    .lock
-                    .poll_enter(&mut machine, &pm, pid, &Immediate, &self.m.probe)
-            };
-            match step {
-                EnterStep::Acquired { .. } => {
-                    self.m.probe.enter_end(pid, None);
-                    return Some(self.guard(pid));
-                }
-                EnterStep::Aborted { .. } => {
-                    self.m.probe.abort(pid, None);
-                    self.wake_enter_waiters();
-                    self.pids.release(pid);
-                    return None;
-                }
-                // Unreachable under Immediate; re-poll defensively.
-                EnterStep::Pending(_) => {}
-            }
+        let base = &self.m.base;
+        let pid = base.pids.try_checkout()?;
+        base.probe.enter_begin(pid);
+        if base.enter_now(&mut base.lock.begin_enter(), pid) {
+            Some(self.guard(pid))
+        } else {
+            base.pids.release(pid);
+            None
         }
     }
 
@@ -547,13 +370,13 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// Snapshot of the async driver counters.
     pub fn stats(&self) -> AsyncStats {
         AsyncStats {
-            enter_wakeups: self.stats.enter_wakeups.load(Ordering::Relaxed),
-            futile_enter_wakeups: self.stats.futile_enter_wakeups.load(Ordering::Relaxed),
+            enter_wakeups: self.m.base.enters.woken_tasks.load(Ordering::Relaxed),
+            futile_enter_wakeups: self.m.base.enters.futile_tasks.load(Ordering::Relaxed),
             pid_waits: self.stats.pid_waits.load(Ordering::Relaxed),
             cancelled_pending: self.stats.cancelled_pending.load(Ordering::Relaxed),
             pool_capacity: self.m.capacity(),
-            free_pids: self.pids.free_len(),
-            queued_tasks: self.pids.queued(),
+            free_pids: self.free_pids(),
+            queued_tasks: self.queued_tasks(),
         }
     }
 
@@ -562,12 +385,12 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// flight — the leak check the cancellation tests assert after
     /// storms.
     pub fn free_pids(&self) -> usize {
-        self.pids.free_len()
+        self.m.base.pids.free_len()
     }
 
     /// Tasks queued for pid admission right now.
     pub fn queued_tasks(&self) -> usize {
-        self.pids.queued()
+        self.m.base.pids.queued()
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -585,41 +408,18 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
 
     /// Start a passage: lifecycle hook + fresh machine.
     fn start_enter(&self, pid: Pid) -> Acquire {
-        self.m.probe.enter_begin(pid);
+        self.m.base.probe.enter_begin(pid);
         Acquire::Enter {
             pid,
-            machine: self.m.lock.begin_enter(),
+            machine: self.m.base.lock.begin_enter(),
         }
     }
 
-    /// Release the lock held by `pid` but keep the pid checked out
-    /// (conditional waits park with their pid — the CCS registry slot
-    /// is theirs).
-    fn unlock_keep_pid(&self, pid: Pid) {
-        self.m.unlock_with_eval(pid);
-        self.wake_enter_waiters();
-    }
-
-    /// Full unlock: release the lock, hint enter waiters, return the
-    /// pid to the pool.
+    /// Full unlock: release the lock (waking conditional and enter
+    /// waiters) and return the pid to the pool.
     fn unlock_async(&self, pid: Pid) {
-        self.unlock_keep_pid(pid);
-        self.pids.release(pid);
-    }
-
-    /// Broadcast a hint to every engaged enter waiter — the unlock side
-    /// of the no-lost-wakeup protocol (module docs §3).
-    fn wake_enter_waiters(&self) {
-        for slot in self.slots.iter() {
-            if slot.engaged.load(Ordering::SeqCst) {
-                slot.hint.store(true, Ordering::SeqCst);
-                let w = slot.waker.lock().unwrap().take();
-                if let Some(w) = w {
-                    self.stats.enter_wakeups.fetch_add(1, Ordering::Relaxed);
-                    w.wake();
-                }
-            }
-        }
+        self.m.release(pid);
+        self.m.base.pids.release(pid);
     }
 }
 
@@ -674,9 +474,10 @@ where
     P: Probe,
     S: AbortSignal + ?Sized,
 {
+    let base = &mx.m.base;
     loop {
         match st {
-            Acquire::Fresh => match mx.pids.checkout_or_enqueue(cx.waker()) {
+            Acquire::Fresh => match base.pids.checkout_or_enqueue(cx.waker()) {
                 Ok(pid) => *st = mx.start_enter(pid),
                 Err(ticket) => {
                     mx.stats.pid_waits.fetch_add(1, Ordering::Relaxed);
@@ -690,45 +491,16 @@ where
             },
             Acquire::Enter { pid, machine } => {
                 let pid = *pid;
-                let slot = &mx.slots[pid];
-                let hinted = slot.hint.swap(false, Ordering::SeqCst);
-                // Waker before machine poll: the machine's Pending read
-                // of its go word must come after the waker is visible,
-                // so an unlock can never fall between "observed zero"
-                // and "parked" (module docs §2).
-                slot.engaged.store(true, Ordering::SeqCst);
-                slot.set_waker(cx.waker());
-                let step = {
-                    let pm = probed(&mx.m.mem, &mx.m.probe);
-                    mx.m.lock.poll_enter(machine, &pm, pid, signal, &mx.m.probe)
+                let acquired = match base.poll_task(machine, pid, signal, cx.waker()) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(acquired) => acquired,
                 };
-                match step {
-                    EnterStep::Acquired { .. } => {
-                        slot.disengage();
-                        mx.m.probe.enter_end(pid, None);
-                        *st = Acquire::Done;
-                        return Poll::Ready(Ok(pid));
-                    }
-                    EnterStep::Aborted { .. } => {
-                        slot.disengage();
-                        mx.m.probe.abort(pid, None);
-                        // An abort can hand the lock on, writing a
-                        // successor's go word as an unlock does
-                        // (Algorithm 3.3, line 15): wake like one.
-                        mx.wake_enter_waiters();
-                        mx.pids.release(pid);
-                        *st = Acquire::Done;
-                        return Poll::Ready(Err(reason));
-                    }
-                    EnterStep::Pending(_) => {
-                        if hinted {
-                            mx.stats
-                                .futile_enter_wakeups
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Poll::Pending;
-                    }
+                *st = Acquire::Done;
+                if acquired {
+                    return Poll::Ready(Ok(pid));
                 }
+                base.pids.release(pid);
+                return Poll::Ready(Err(reason));
             }
             Acquire::Done => panic!("lock future polled after completion"),
         }
@@ -736,7 +508,7 @@ where
 }
 
 /// Resolve a dropped attempt: cancellation = the paper's abort. With
-/// the pre-fired [`Immediate`] signal one poll either acquires (the
+/// the pre-fired [`Immediate`](crate::Immediate) signal one poll either acquires (the
 /// lock was handed over in the race window — release it) or runs the
 /// complete abort path; both are bounded in the dropping task's steps.
 fn drop_acquire<T, P>(mx: &AsyncAbortableMutex<T, P>, st: &mut Acquire)
@@ -748,36 +520,16 @@ where
         Acquire::Fresh | Acquire::Done => {}
         Acquire::PidWait(ticket) => {
             if let Some(pid) = ticket.cancel() {
-                mx.pids.release(pid);
+                mx.m.base.pids.release(pid);
             }
         }
         Acquire::Enter { pid, mut machine } => {
-            let slot = &mx.slots[pid];
-            slot.disengage();
-            slot.hint.store(false, Ordering::SeqCst);
+            mx.m.base.disengage(pid);
             mx.stats.cancelled_pending.fetch_add(1, Ordering::Relaxed);
-            loop {
-                let step = {
-                    let pm = probed(&mx.m.mem, &mx.m.probe);
-                    mx.m.lock
-                        .poll_enter(&mut machine, &pm, pid, &Immediate, &mx.m.probe)
-                };
-                match step {
-                    EnterStep::Acquired { .. } => {
-                        mx.m.probe.enter_end(pid, None);
-                        mx.unlock_keep_pid(pid);
-                        break;
-                    }
-                    EnterStep::Aborted { .. } => {
-                        mx.m.probe.abort(pid, None);
-                        mx.wake_enter_waiters();
-                        break;
-                    }
-                    // Unreachable under Immediate; re-poll defensively.
-                    EnterStep::Pending(_) => {}
-                }
+            if mx.m.base.enter_now(&mut machine, pid) {
+                mx.m.release(pid);
             }
-            mx.pids.release(pid);
+            mx.m.base.pids.release(pid);
         }
     }
 }
@@ -884,32 +636,43 @@ where
                         }
                         Poll::Ready(Ok(pid)) => pid,
                     };
-                    // Safety: we hold the lock, so the protected value
-                    // is stable under the predicate.
-                    if (this.pred)(unsafe { &*this.mx.m.data.get() }) {
+                    let mx = this.mx;
+                    if check_held(&mx.m.data, &*this.pred, || mx.unlock_async(pid)) {
                         this.st = WhenState::Done;
-                        return Poll::Ready(Ok(this.mx.guard(pid)));
+                        return Poll::Ready(Ok(mx.guard(pid)));
                     }
+                    let ccs = &mx.m.base.ccs;
                     if this.woken {
-                        this.mx.m.ccs.note_futile();
+                        ccs.note_futile();
                     }
                     if this.signal.is_set() {
-                        this.mx.unlock_async(pid);
+                        mx.unlock_async(pid);
                         this.st = WhenState::Done;
                         return Poll::Ready(Err(this.reason));
                     }
+                    // Parking would take the last pid no parked waiter
+                    // holds, locking out every task that could make the
+                    // predicate true: retry as a fresh attempt instead,
+                    // after yielding.
+                    if !mx.m.base.pids.hold_parked() {
+                        mx.unlock_async(pid);
+                        this.st = WhenState::Acquire(Acquire::Fresh);
+                        cx.waker().wake_by_ref();
+                        return Poll::Pending;
+                    }
                     // Register under the lock (no transition can be
                     // missed), park the waker, then release.
-                    this.mx.m.ccs.register(pid, &*this.pred);
-                    this.mx.m.ccs.set_waker(pid, cx.waker());
-                    this.mx.m.ccs.note_wait();
-                    this.mx.unlock_keep_pid(pid);
+                    ccs.register(pid, &*this.pred);
+                    ccs.set_waker(pid, cx.waker());
+                    ccs.note_wait();
+                    mx.m.release(pid);
                     this.st = WhenState::CondWait { pid };
                     return Poll::Pending;
                 }
                 WhenState::CondWait { pid } => {
                     let pid = *pid;
-                    this.woken = this.mx.m.ccs.deregister(pid);
+                    this.woken = this.mx.m.base.ccs.deregister(pid);
+                    this.mx.m.base.pids.unhold_parked();
                     this.st = WhenState::Acquire(this.mx.start_enter(pid));
                     // Fall through: re-acquire within this poll.
                 }
@@ -924,8 +687,10 @@ impl<T: ?Sized, F, P: Probe, S: AbortSignal> Drop for TryLockWhenFuture<'_, T, F
         match std::mem::replace(&mut self.st, WhenState::Done) {
             WhenState::Acquire(mut acq) => drop_acquire(self.mx, &mut acq),
             WhenState::CondWait { pid } => {
-                self.mx.m.ccs.deregister(pid);
-                self.mx.pids.release(pid);
+                let base = &self.mx.m.base;
+                base.ccs.deregister(pid);
+                base.pids.unhold_parked();
+                base.pids.release(pid);
             }
             WhenState::Done => {}
         }

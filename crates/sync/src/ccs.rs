@@ -55,16 +55,17 @@
 //! entry protocol; the registry adds no ordering of its own (DESIGN.md
 //! §11 discusses the implications).
 
+use crate::wait::{check_held, Limit};
 use crate::AbortableMutex;
-use sal_core::park::{ParkResult, Waiter};
+use sal_core::park::Waiter;
 use sal_core::{AbortReason, LockCore};
 use sal_memory::{AbortSignal, NeverAbort, Pid};
 use sal_obs::Probe;
 use std::cell::UnsafeCell;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::task::Waker;
-use std::time::{Duration, Instant};
 
 /// Slot states — see the module docs for the transition diagram.
 const VACANT: u8 = 0;
@@ -75,11 +76,6 @@ const NOTIFIED: u8 = 3;
 /// Ceiling on registry slots; the lock algorithm's descriptor limit is
 /// 1022 processes, so 16 × 64 bits always suffice for a `WakeSet`.
 const MAX_SLOTS: usize = 1024;
-
-/// How often a wait limited by an arbitrary caller signal re-polls the
-/// signal while parked (deadline-limited waits park exactly until the
-/// deadline and need no polling).
-const SIGNAL_POLL: Duration = Duration::from_micros(100);
 
 /// A registered condition as stored: a borrowed closure over the
 /// protected value, its lifetime erased to `'static` for storage (see
@@ -160,22 +156,6 @@ impl<T: ?Sized> Slot<T> {
             cond: UnsafeCell::new(None),
             waiter: Waiter::new(),
             waker: Mutex::new(None),
-        }
-    }
-}
-
-/// Restores a slot to WAITING if the condition evaluation unwinds, so a
-/// panicking user predicate cannot strand the waiter in EVALUATING
-/// (where its deregistration would spin forever).
-struct EvalGuard<'a> {
-    state: &'a AtomicU8,
-    armed: bool,
-}
-
-impl Drop for EvalGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.state.store(WAITING, Ordering::Release);
         }
     }
 }
@@ -339,10 +319,7 @@ impl<T: ?Sized> CcsRegistry<T> {
         self.waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The parking slot a registered waiter blocks on. The arena's
-    /// conditional waits drive the registry directly (its data lives in
-    /// arena entries, not behind an `AbortableMutex`), so they need the
-    /// waiter [`lock_when_raw`] reaches through `m.ccs.slots`.
+    /// The parking slot a registered waiter blocks on.
     pub(crate) fn cond_waiter(&self, pid: Pid) -> &Waiter {
         &self.slots[pid].waiter
     }
@@ -381,17 +358,16 @@ impl<T: ?Sized> CcsRegistry<T> {
                     {
                         continue;
                     }
-                    let mut guard = EvalGuard {
-                        state: &slot.state,
-                        armed: true,
-                    };
                     // Safety: the slot was WAITING, so the pointer is
                     // registered and its waiter cannot leave while we
                     // are EVALUATING.
                     let cond = unsafe { &*(*slot.cond.get()).expect("WAITING slot has a cond") };
-                    let satisfied = cond(data);
+                    // A panicking condition counts as satisfied: its
+                    // waiter re-runs it and panics on its own thread,
+                    // and this unlock still reaches `exit_core`.
+                    let satisfied =
+                        panic::catch_unwind(AssertUnwindSafe(|| cond(data))).unwrap_or(true);
                     self.evaluated.fetch_add(1, Ordering::Relaxed);
-                    guard.armed = false;
                     if satisfied {
                         slot.state.store(NOTIFIED, Ordering::Release);
                         set.add(i);
@@ -425,9 +401,9 @@ impl<T: ?Sized> CcsRegistry<T> {
     }
 }
 
-/// Deregisters on unwind so a panic elsewhere in the wait loop (e.g.
-/// another waiter's predicate panicking inside our unlock-side
-/// evaluation) cannot leave a dangling condition pointer registered.
+/// Deregisters on unwind so a panic between registration and
+/// deregistration (in the release that follows, or in a probe hook)
+/// cannot leave a dangling condition pointer registered.
 pub(crate) struct RegistrationGuard<'a, T: ?Sized> {
     reg: &'a CcsRegistry<T>,
     pid: Pid,
@@ -464,96 +440,6 @@ impl<T: ?Sized> Drop for RegistrationGuard<'_, T> {
     }
 }
 
-/// What bounds a conditional wait: nothing, a deadline, or a caller
-/// signal. Monomorphized per entry point so the unbounded path carries
-/// no deadline checks.
-pub(crate) enum Limit<'s, S: AbortSignal + ?Sized> {
-    /// Wait as long as it takes (`lock_when`, `await_when`).
-    Forever,
-    /// Give up once the instant passes (`lock_when_for/_until`).
-    Until(Instant),
-    /// Give up once the signal fires (`lock_when_abortable`).
-    Signal(&'s S),
-}
-
-impl<S: AbortSignal + ?Sized> Limit<'_, S> {
-    /// Acquire the lock under this limit. On `Err` the lock is NOT
-    /// held. Uses the paper's bounded-RMR abort path for both the
-    /// deadline and the signal case — a deadline firing while queued
-    /// costs a bounded number of the caller's own steps.
-    fn acquire<T: ?Sized, P: Probe>(
-        &self,
-        m: &AbortableMutex<T, P>,
-        pid: Pid,
-    ) -> Result<(), AbortReason> {
-        let entered = match self {
-            Limit::Forever => m
-                .lock
-                .enter_core(&m.mem, pid, &NeverAbort, &m.probe)
-                .entered(),
-            Limit::Until(t) => m
-                .lock
-                .enter_core(&m.mem, pid, &crate::deadline_signal(*t), &m.probe)
-                .entered(),
-            Limit::Signal(s) => m.lock.enter_core(&m.mem, pid, s, &m.probe).entered(),
-        };
-        if entered {
-            Ok(())
-        } else {
-            Err(self.reason())
-        }
-    }
-
-    /// The reason this limit reports when it cuts a wait short.
-    fn reason(&self) -> AbortReason {
-        match self {
-            Limit::Forever => unreachable!("unbounded waits cannot abort"),
-            Limit::Until(_) => AbortReason::Deadline,
-            Limit::Signal(_) => AbortReason::Caller,
-        }
-    }
-
-    /// Whether the limit has already expired (checked while holding the
-    /// lock, before committing to a park).
-    fn expired(&self) -> Option<AbortReason> {
-        match self {
-            Limit::Forever => None,
-            Limit::Until(t) => (Instant::now() >= *t).then_some(AbortReason::Deadline),
-            Limit::Signal(s) => s.is_set().then_some(AbortReason::Caller),
-        }
-    }
-
-    /// Park on `w` until notified or the limit expires. `None` means
-    /// notified (or a spurious wake — callers re-check their predicate
-    /// anyway); `Some(reason)` means the limit ended the wait.
-    ///
-    /// Deadline limits park exactly until their instant; signal limits
-    /// re-poll the signal every [`SIGNAL_POLL`] (an arbitrary signal
-    /// has no one to wake us when it fires).
-    fn park(&self, w: &Waiter) -> Option<AbortReason> {
-        match self {
-            Limit::Forever => {
-                w.park_until(None);
-                None
-            }
-            Limit::Until(t) => match w.park_until(Some(*t)) {
-                ParkResult::Notified => None,
-                ParkResult::TimedOut => Some(AbortReason::Deadline),
-            },
-            Limit::Signal(s) => loop {
-                match w.park_until(Some(Instant::now() + SIGNAL_POLL)) {
-                    ParkResult::Notified => return None,
-                    ParkResult::TimedOut => {
-                        if s.is_set() {
-                            return Some(AbortReason::Caller);
-                        }
-                    }
-                }
-            },
-        }
-    }
-}
-
 /// The conditional-acquisition loop behind every `lock_when*` entry
 /// point. On `Ok(())` the caller holds the lock and `pred` held at the
 /// last check; on `Err` the lock is not held.
@@ -569,38 +455,36 @@ where
     F: Fn(&T) -> bool + Sync,
     S: AbortSignal + ?Sized,
 {
+    let base = &m.base;
     let mut woken = false;
     loop {
-        limit.acquire(m, pid)?;
-        // Safety: we hold the lock.
-        if pred(unsafe { &*m.data.get() }) {
+        // The limit is the lock's abort signal: a deadline or signal
+        // firing while queued costs a bounded number of our own steps.
+        if !base
+            .lock
+            .enter_core(&base.mem, pid, limit, &base.probe)
+            .entered()
+        {
+            return Err(limit.reason());
+        }
+        if check_held(&m.data, pred, || m.release(pid)) {
             return Ok(());
         }
         if woken {
-            m.ccs.futile.fetch_add(1, Ordering::Relaxed);
+            base.ccs.note_futile();
         }
         if let Some(reason) = limit.expired() {
-            m.unlock_with_eval(pid);
+            m.release(pid);
             return Err(reason);
         }
-        let reg = RegistrationGuard::register(&m.ccs, pid, pred);
-        m.unlock_with_eval(pid);
-        m.ccs.waits.fetch_add(1, Ordering::Relaxed);
-        let expired = limit.park(&m.ccs.slots[pid].waiter);
-        let notified = reg.deregister();
-        if let Some(reason) = expired {
-            // A wakeup racing the timeout is dropped — safe, because
-            // evaluation woke *every* satisfiable waiter, not a chosen
-            // one, so no other waiter's token depended on ours.
-            return Err(reason);
-        }
-        woken = notified;
+        woken = base.cond_wait(pid, &m.data, pred, limit)?;
     }
 }
 
 /// The re-wait loop behind `MutexGuard::await_when*`: entered and
-/// exited with the lock HELD. `Ok(())` means `pred` held at the last
-/// check; `Err` means the limit expired and `pred` was false at the
+/// exited with the lock HELD (a panicking `pred` unwinds through the
+/// caller's guard, which releases). `Ok(())` means `pred` held at the
+/// last check; `Err` means the limit expired and `pred` was false at the
 /// final (lock-held) check. Timed variants bound the wait for the
 /// predicate, not the re-acquisition (abseil `AwaitWithTimeout`
 /// semantics): the final re-entry is unconditional, bounded by the
@@ -617,6 +501,7 @@ where
     F: Fn(&T) -> bool + Sync,
     S: AbortSignal + ?Sized,
 {
+    let base = &m.base;
     let mut woken = false;
     loop {
         // Safety: we hold the lock (loop invariant).
@@ -624,25 +509,25 @@ where
             return Ok(());
         }
         if woken {
-            m.ccs.futile.fetch_add(1, Ordering::Relaxed);
+            base.ccs.note_futile();
         }
         if let Some(reason) = limit.expired() {
             return Err(reason);
         }
-        let reg = RegistrationGuard::register(&m.ccs, pid, pred);
-        m.unlock_with_eval(pid);
-        m.ccs.waits.fetch_add(1, Ordering::Relaxed);
-        let expired = limit.park(&m.ccs.slots[pid].waiter);
-        let notified = reg.deregister();
+        let waited = base.cond_wait(pid, &m.data, pred, limit);
         // Re-acquire unconditionally: the caller's guard stays valid.
-        let outcome = m.lock.enter_core(&m.mem, pid, &NeverAbort, &m.probe);
+        let outcome = base
+            .lock
+            .enter_core(&base.mem, pid, &NeverAbort, &base.probe);
         debug_assert!(outcome.entered());
-        if let Some(reason) = expired {
-            if pred(unsafe { &*m.data.get() }) {
-                return Ok(());
+        match waited {
+            Ok(notified) => woken = notified,
+            Err(reason) => {
+                if pred(unsafe { &*m.data.get() }) {
+                    return Ok(());
+                }
+                return Err(reason);
             }
-            return Err(reason);
         }
-        woken = notified;
     }
 }

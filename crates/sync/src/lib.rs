@@ -15,9 +15,10 @@
 //!   yield to a high-priority thread (§1's three use cases; see
 //!   `examples/`).
 //!
-//! Each participating thread registers once for a [`MutexHandle`]; the
-//! underlying algorithm is capacity-bounded (`O(N²)` words for `N`
-//! registered threads) and starvation-free.
+//! Each participating thread registers for a [`MutexHandle`], which
+//! holds one of the mutex's `capacity` process identities until it is
+//! dropped; the underlying algorithm is capacity-bounded (`O(N²)` words
+//! for `N` live handles) and starvation-free.
 //!
 //! ## Conditional critical sections
 //!
@@ -110,17 +111,16 @@
 pub mod arena;
 pub mod async_mutex;
 pub mod ccs;
+mod wait;
 
-use ccs::{CcsRegistry, Limit};
-use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::LockCore;
-use sal_memory::{AbortSignal, Deadline, Mem, MemoryBuilder, NeverAbort, Pid, RawMemory};
+use sal_memory::{AbortSignal, Deadline, Mem, NeverAbort, Pid};
 use sal_obs::{NoProbe, Probe};
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+use wait::{Limit, LockBase};
 
 pub use arena::{Arena, ArenaBuilder, ArenaGuard, ArenaStats};
 pub use async_mutex::{AsyncAbortableMutex, AsyncMutexGuard, AsyncStats};
@@ -133,7 +133,8 @@ pub use sal_memory::AbortFlag;
 pub const DEFAULT_CAPACITY: usize = 64;
 
 /// Every deadline-bound entry point — [`MutexHandle::try_lock_until`],
-/// [`MutexHandle::lock_when_until`] (via [`ccs::Limit`]), and the async
+/// [`MutexHandle::lock_when_until`] and the arena's deadline variants
+/// (via the wait layer's `Limit::Until`), and the async
 /// `lock_deadline`/`lock_when_deadline` — builds its abort signal here,
 /// so "deadline → abort signal" has exactly one definition: the
 /// deadline is injected as the lock's abort signal and honoured on the
@@ -217,15 +218,9 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     /// Panics if the capacity is 0 or exceeds the algorithm's descriptor
     /// limit (1022), or if the branching factor is out of `2 ..= 64`.
     pub fn build(self) -> AbortableMutex<T, P> {
-        let mut b = MemoryBuilder::new();
-        let lock = BoundedLongLivedLock::layout(&mut b, self.capacity, self.branching);
         AbortableMutex {
-            mem: b.build_raw(self.capacity),
-            lock,
-            next_pid: AtomicUsize::new(0),
+            base: LockBase::new(self.capacity, self.branching, self.wake_policy, self.probe),
             capacity: self.capacity,
-            probe: self.probe,
-            ccs: CcsRegistry::new(self.capacity, self.wake_policy),
             data: UnsafeCell::new(self.value),
         }
     }
@@ -242,12 +237,8 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
 /// [`NoProbe`] compiles to the uninstrumented fast path. Configure with
 /// [`builder`](Self::builder).
 pub struct AbortableMutex<T: ?Sized, P: Probe = NoProbe> {
-    mem: RawMemory,
-    lock: BoundedLongLivedLock,
-    next_pid: AtomicUsize,
+    base: LockBase<T, P>,
     capacity: usize,
-    probe: P,
-    ccs: CcsRegistry<T>,
     data: UnsafeCell<T>,
 }
 
@@ -289,18 +280,20 @@ impl<T, P: Probe> AbortableMutex<T, P> {
 
 impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
     /// Register the calling context and get a handle. Each handle owns
-    /// one of the `capacity` process slots for the mutex's lifetime.
+    /// one of the `capacity` process slots for the handle's lifetime;
+    /// dropping it returns the slot.
     ///
     /// # Panics
     ///
-    /// Panics when more handles are requested than the capacity allows.
+    /// Panics when more handles are live at once than the capacity
+    /// allows.
     pub fn handle(&self) -> MutexHandle<'_, T, P> {
-        let pid = self.next_pid.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            pid < self.capacity,
-            "AbortableMutex capacity ({}) exceeded; build with a larger capacity",
-            self.capacity
-        );
+        let Some(pid) = self.base.pids.try_checkout() else {
+            panic!(
+                "AbortableMutex capacity ({}) exceeded; drop a handle or build with a larger capacity",
+                self.capacity
+            );
+        };
         MutexHandle { mutex: self, pid }
     }
 
@@ -317,48 +310,36 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
     /// Shared memory words the lock occupies (the Table-1 space column,
     /// measured).
     pub fn shared_words(&self) -> usize {
-        self.mem.num_words()
+        self.base.mem.num_words()
     }
 
     /// The attached probe sink.
     pub fn probe(&self) -> &P {
-        &self.probe
+        &self.base.probe
     }
 
     /// The configured [`WakePolicy`] for conditional waiters.
     pub fn wake_policy(&self) -> WakePolicy {
-        self.ccs.policy()
+        self.base.ccs.policy()
     }
 
     /// Number of threads currently blocked in a conditional wait
     /// (`lock_when*` / `await_when*`) on this mutex.
     pub fn waiters(&self) -> usize {
-        self.ccs.waiting()
+        self.base.ccs.waiting()
     }
 
     /// Snapshot of the conditional-critical-section counters; see
     /// [`CcsStats`] for the headline `wakeups / transitions` ratio.
     pub fn ccs_stats(&self) -> CcsStats {
-        self.ccs.stats()
+        self.base.ccs.stats()
     }
 
-    /// Release the lock held by `pid`, first evaluating registered
-    /// waiter conditions under the lock (the unlock-side evaluation at
-    /// the heart of the CCS design; [`ccs`] module docs). With no
-    /// registered waiters this is `exit_core` plus one relaxed load.
-    pub(crate) fn unlock_with_eval(&self, pid: Pid) {
-        if self.ccs.has_waiters() {
-            // Safety: the caller holds the lock, so the protected value
-            // is stable under our feet while conditions run.
-            let set = self.ccs.evaluate(pid, unsafe { &*self.data.get() });
-            self.lock.exit_core(&self.mem, pid, &self.probe);
-            let n = self.ccs.wake(&set);
-            if n > 0 {
-                self.probe.note(pid, "ccs-wake", n as u64);
-            }
-        } else {
-            self.lock.exit_core(&self.mem, pid, &self.probe);
-        }
+    /// Release the lock held by `pid` (keeping the pid) through the
+    /// wait layer's one release path: unlock-side condition evaluation
+    /// ([`ccs`] module docs), `exit_core`, wakes.
+    pub(crate) fn release(&self, pid: Pid) {
+        self.base.release(pid, &self.data);
     }
 }
 
@@ -366,7 +347,7 @@ impl<T: fmt::Debug, P: Probe> fmt::Debug for AbortableMutex<T, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AbortableMutex")
             .field("capacity", &self.capacity)
-            .field("registered", &self.next_pid.load(Ordering::Relaxed))
+            .field("registered", &(self.capacity - self.base.pids.free_len()))
             .finish_non_exhaustive()
     }
 }
@@ -400,6 +381,12 @@ impl<T: ?Sized, P: Probe> fmt::Debug for MutexHandle<'_, T, P> {
     }
 }
 
+impl<T: ?Sized, P: Probe> Drop for MutexHandle<'_, T, P> {
+    fn drop(&mut self) {
+        self.mutex.base.pids.release(self.pid);
+    }
+}
+
 impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
     /// The process slot this handle occupies (diagnostic).
     pub fn pid(&self) -> Pid {
@@ -412,10 +399,10 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
     /// `(RawMemory, P)` — with the default [`NoProbe`] the whole
     /// passage compiles to direct atomic operations.
     pub fn lock(&mut self) -> MutexGuard<'_, 'm, T, P> {
-        let outcome =
-            self.mutex
-                .lock
-                .enter_core(&self.mutex.mem, self.pid, &NeverAbort, &self.mutex.probe);
+        let base = &self.mutex.base;
+        let outcome = base
+            .lock
+            .enter_core(&base.mem, self.pid, &NeverAbort, &base.probe);
         debug_assert!(outcome.entered(), "non-abortable enter cannot fail");
         MutexGuard {
             handle: self,
@@ -431,10 +418,10 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
         &mut self,
         signal: &(impl AbortSignal + ?Sized),
     ) -> Option<MutexGuard<'_, 'm, T, P>> {
-        if self
-            .mutex
+        let base = &self.mutex.base;
+        if base
             .lock
-            .enter_core(&self.mutex.mem, self.pid, signal, &self.mutex.probe)
+            .enter_core(&base.mem, self.pid, signal, &base.probe)
             .entered()
         {
             Some(MutexGuard {
@@ -631,7 +618,7 @@ impl<'m, T: ?Sized, P: Probe> MutexGuard<'_, 'm, T, P> {
 
 impl<T: ?Sized, P: Probe> Drop for MutexGuard<'_, '_, T, P> {
     fn drop(&mut self) {
-        self.handle.mutex.unlock_with_eval(self.handle.pid);
+        self.handle.mutex.release(self.handle.pid);
     }
 }
 
@@ -644,7 +631,7 @@ impl<T: ?Sized + fmt::Debug, P: Probe> fmt::Debug for MutexGuard<'_, '_, T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -653,6 +640,7 @@ mod tests {
         let mut h = m.handle();
         h.lock().push(3);
         assert_eq!(*h.lock(), vec![1, 2, 3]);
+        drop(h);
         assert_eq!(m.into_inner(), vec![1, 2, 3]);
     }
 

@@ -118,6 +118,7 @@ fn await_when_releases_and_reacquires_in_place() {
             // Dropping the guard must wake A's await.
         });
     });
+    drop((a, b));
     assert_eq!(m.into_inner(), (2, 1));
 }
 
