@@ -99,6 +99,12 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml
 sim_check=$(cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
     --workload sim_check --seed 1 --seconds 3 --trace 0)
 grep -q '"correct":true' <<<"$sim_check"
+# A short arena_zipf run on real threads: lost updates on the 4096
+# checked keys and any core left resident after the run make it print
+# "correct":false.
+arena_zipf=$(bounded cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload arena_zipf --seed 1 --seconds 2 --trace 0)
+grep -q '"correct":true' <<<"$arena_zipf"
 cargo fmt --check
 cargo clippy -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

@@ -11,7 +11,7 @@
 //! * **arena** — [`sal_sync::Arena`]: one inline atomic word per key,
 //!   lock cores materialized from a bounded pool only while a key is
 //!   actually contended.
-//! * **stdmap** — the same sharded lazy map shape holding one
+//! * **stdmap** — the arena's own key index ([`KeyMap`]) holding one
 //!   `std::sync::Mutex` per key (no abortability, the OS-futex
 //!   yardstick).
 //! * **abortmap** — a prebuilt `HashMap<K, AbortableMutex>`: the
@@ -48,9 +48,10 @@
 use sal_bench::{amortized_companion, LockKind};
 use sal_obs::{AmortizedStats, Histogram, Json, ToJson};
 use sal_runtime::SmallRng;
+use sal_sync::arena::KeyMap;
 use sal_sync::{AbortableMutex, Arena};
 use std::collections::HashMap;
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 /// Largest key space the prebuilt `AbortableMutex`-per-key baseline
@@ -117,40 +118,6 @@ impl Sampler {
                 cdf.partition_point(|&c| c < u).min(self.keys - 1) as u64
             }
         }
-    }
-}
-
-/// The sharded lazy `HashMap` shape shared by the arena and the
-/// `stdmap` baseline, so the two differ only in what sits behind a
-/// key, not in how a key is found.
-struct ShardedMap<V> {
-    shards: Vec<RwLock<HashMap<u64, Box<V>>>>,
-}
-
-impl<V: Default> ShardedMap<V> {
-    fn new(shards: usize) -> Self {
-        ShardedMap {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn entry(&self, key: u64) -> &V {
-        let shard = &self.shards[(key as usize) & (self.shards.len() - 1)];
-        if let Some(v) = shard.read().unwrap().get(&key) {
-            // Safety: values are boxed and never removed, so the heap
-            // allocation outlives the map borrow; `&self` keeps the
-            // map alive for the returned lifetime.
-            return unsafe { &*(&**v as *const V) };
-        }
-        let mut map = shard.write().unwrap();
-        let v = map.entry(key).or_default();
-        // Safety: as above — the box is stable and never dropped
-        // before the map itself.
-        unsafe { &*(&**v as *const V) }
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
     }
 }
 
@@ -295,12 +262,12 @@ fn run_arena(cell: Cell) -> Measured {
 }
 
 fn run_stdmap(cell: Cell) -> Measured {
-    let map: ShardedMap<Mutex<u64>> = ShardedMap::new(256);
+    let map: KeyMap<u64, Mutex<u64>> = KeyMap::new(256);
     let (entered, aborted, elapsed_s, lat) = drive(
         cell,
         |_| (),
         |_, key, abortable| {
-            let lock = map.entry(key);
+            let lock = map.get(&key);
             if abortable {
                 match lock.try_lock() {
                     Ok(mut g) => {
@@ -315,19 +282,18 @@ fn run_stdmap(cell: Cell) -> Measured {
             }
         },
     );
-    let mut sum = 0u64;
-    for shard in &map.shards {
-        for v in shard.read().unwrap().values() {
-            sum += *v.lock().unwrap();
-        }
-    }
+    // Count before summing: the sum touches every key of the space.
+    let resident_objects = map.len() as u64;
+    let sum: u64 = (0..cell.keys as u64)
+        .map(|key| *map.get(&key).lock().unwrap())
+        .sum();
     assert_eq!(sum, entered, "lost updates in the stdmap cell");
     Measured {
         entered,
         aborted,
         elapsed_s,
         lat,
-        resident_objects: map.len() as u64,
+        resident_objects,
     }
 }
 
@@ -546,8 +512,8 @@ fn main() {
         ));
     }
     caveats.push(
-        "zipf cells draw from an exact precomputed CDF; keys are hashed into 256 shards, \
-         so shard-map contention is shared by arena and stdmap"
+        "zipf cells draw from an exact precomputed CDF; arena and stdmap find keys through \
+         the same 256-shard key index"
             .into(),
     );
 

@@ -33,6 +33,11 @@
 //! so a waiter whose limit fires *while queued* abandons on the paper's
 //! bounded abort path.
 //!
+//! Keys resolve to their entries through [`KeyMap`], a sharded index
+//! that only ever grows and is read without locks: a touched key costs
+//! one hash and a few atomic loads, with no store and no lock, before
+//! its inline CAS. First touches insert under a per-shard mutex.
+//!
 //! ## Concurrency limits, honestly stated
 //!
 //! * Per key, at most `core_capacity - 1` threads participate in the
@@ -85,6 +90,12 @@
 //! assert_eq!(arena.stats().resident_cores, 0); // nothing materialized
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
+mod keymap;
+
+pub use keymap::KeyMap;
+
 use crate::ccs::WakePolicy;
 use crate::wait::{check_held, EnterSlots, Limit, LockBase, PidPool};
 use crate::{timeout_deadline, AbortReason, Immediate};
@@ -93,33 +104,33 @@ use sal_core::LockCore;
 use sal_memory::{AbortSignal, NeverAbort, Pid};
 use sal_obs::NoProbe;
 use std::cell::UnsafeCell;
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::Hash;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The proxy pid a promoter enters a fresh core with, standing in for
 /// the inline holder; withheld from the core's pid pool.
 const RESERVED: Pid = 0;
 
-/// One logical lock: the inline word plus the protected value. Boxed
-/// inside the shard map and never removed while the arena lives, so
-/// references to it are stable across map growth.
+/// One logical lock: the inline word plus the protected value. Held in
+/// the key index and never removed while the arena lives (the *cores*
+/// are what get reclaimed), so references to it are stable.
 struct Entry<T> {
     word: AtomicU64,
     data: UnsafeCell<T>,
 }
 
-/// One hash shard: a lazily populated key → entry map. Entries are only
-/// ever inserted (the *cores* are what get reclaimed), so the read path
-/// is a shared-lock map probe.
-struct Shard<K, T> {
-    map: RwLock<HashMap<K, Box<Entry<T>>>>,
+impl<T: Default> Default for Entry<T> {
+    fn default() -> Self {
+        Entry {
+            word: AtomicU64::new(word::UNLOCKED),
+            data: UnsafeCell::new(T::default()),
+        }
+    }
 }
 
 /// A pooled lock core: the wait layer's lock base (pid 0, the promotion
@@ -228,7 +239,7 @@ pub struct ArenaStats {
     pub built_cores: usize,
     /// The configured pool bound.
     pub pool_capacity: usize,
-    /// Keys ever touched (entries in the shard maps).
+    /// Keys ever touched (entries in the key index).
     pub keys: usize,
     /// Inline → materialized transitions.
     pub promotions: u64,
@@ -255,8 +266,10 @@ pub struct ArenaBuilder<K, T> {
 }
 
 impl<K, T> ArenaBuilder<K, T> {
-    /// Number of hash shards (rounded up to a power of two; default
-    /// 64). More shards, less map-lock contention on first touches.
+    /// Number of key-index shards (rounded up to a power of two;
+    /// default 64). Lookups of touched keys take no lock whatever the
+    /// count; shards spread first-touch inserts and table growth, each
+    /// shard serialising its own.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1).next_power_of_two();
         self
@@ -301,13 +314,7 @@ impl<K, T> ArenaBuilder<K, T> {
             "pool exceeds the word encoding"
         );
         Arena {
-            shards: (0..self.shards)
-                .map(|_| Shard {
-                    map: RwLock::new(HashMap::new()),
-                })
-                .collect(),
-            shard_mask: self.shards - 1,
-            hasher: RandomState::new(),
+            entries: KeyMap::new(self.shards),
             pool: CorePool::new(self.pool, self.capacity, self.branching, self.policy),
             promotions: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
@@ -325,9 +332,7 @@ impl<K, T> ArenaBuilder<K, T> {
 /// process identities are checked out per contended acquisition from
 /// the key's core.
 pub struct Arena<K, T> {
-    shards: Box<[Shard<K, T>]>,
-    shard_mask: usize,
-    hasher: RandomState,
+    entries: KeyMap<K, Entry<T>>,
     pool: CorePool<T>,
     promotions: AtomicU64,
     demotions: AtomicU64,
@@ -335,13 +340,13 @@ pub struct Arena<K, T> {
     fallback_spins: AtomicU64,
 }
 
-// Safety: `T` lives in per-entry `UnsafeCell`s handed out only under
+// SAFETY: `T` lives in per-entry `UnsafeCell`s handed out only under
 // that entry's lock (inline word or core — mutual exclusion per key),
 // so crossing threads needs exactly `T: Send`. Keys are shared and
 // compared across threads (`K: Send + Sync`). Everything else is
 // atomics, std locks, and the already-`Sync` core machinery.
 unsafe impl<K: Send + Sync, T: Send> Send for Arena<K, T> {}
-// Safety: as above — `&Arena` exposes `&T`/`&mut T` only through
+// SAFETY: as above — `&Arena` exposes `&T`/`&mut T` only through
 // per-key mutual exclusion.
 unsafe impl<K: Send + Sync, T: Send> Sync for Arena<K, T> {}
 
@@ -389,36 +394,12 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         Self::builder().build()
     }
 
-    /// Resolve `key` to its entry, creating it (with `T::default()`) on
-    /// first touch.
-    fn entry(&self, key: &K) -> &Entry<T> {
-        let shard = &self.shards[(self.hasher.hash_one(key) as usize) & self.shard_mask];
-        {
-            let map = shard.map.read().unwrap();
-            if let Some(e) = map.get(key) {
-                // Safety: entries are boxed and never removed while the
-                // arena lives (maps only grow), so the pointee is
-                // stable for the arena's — hence `&self`'s — lifetime.
-                return unsafe { &*(&**e as *const Entry<T>) };
-            }
-        }
-        let mut map = shard.map.write().unwrap();
-        let e = map.entry(key.clone()).or_insert_with(|| {
-            Box::new(Entry {
-                word: AtomicU64::new(word::UNLOCKED),
-                data: UnsafeCell::new(T::default()),
-            })
-        });
-        // Safety: same stability argument as above.
-        unsafe { &*(&**e as *const Entry<T>) }
-    }
-
     // ---- plain acquisition --------------------------------------------
 
     /// Acquire `key`'s lock, waiting as long as it takes. Uncontended:
     /// one CAS on the inline word.
     pub fn lock(&self, key: &K) -> ArenaGuard<'_, K, T> {
-        let entry = self.entry(key);
+        let entry = self.entries.get(key);
         let mode = self
             .acquire(entry, &Limit::<NeverAbort>::Forever)
             .expect("unbounded acquire cannot fail");
@@ -435,7 +416,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         key: &K,
         signal: &(impl AbortSignal + ?Sized),
     ) -> Option<ArenaGuard<'_, K, T>> {
-        let entry = self.entry(key);
+        let entry = self.entries.get(key);
         self.acquire(entry, &Limit::Signal(signal))
             .ok()
             .map(|mode| self.guard(entry, mode))
@@ -457,7 +438,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
 
     /// Acquire unless the deadline passes first.
     pub fn try_lock_until(&self, key: &K, deadline: Instant) -> Option<ArenaGuard<'_, K, T>> {
-        let entry = self.entry(key);
+        let entry = self.entries.get(key);
         self.acquire(entry, &Limit::<NeverAbort>::Until(deadline))
             .ok()
             .map(|mode| self.guard(entry, mode))
@@ -474,7 +455,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
     where
         F: Fn(&T) -> bool + Sync,
     {
-        let entry = self.entry(key);
+        let entry = self.entries.get(key);
         let mode = self
             .acquire_when(entry, &pred, &Limit::<NeverAbort>::Forever)
             .expect("unbounded lock_when cannot fail");
@@ -505,7 +486,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
     where
         F: Fn(&T) -> bool + Sync,
     {
-        let entry = self.entry(key);
+        let entry = self.entries.get(key);
         let mode = self.acquire_when(entry, &pred, &Limit::<NeverAbort>::Until(deadline))?;
         Ok(self.guard(entry, mode))
     }
@@ -521,7 +502,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
     where
         F: Fn(&T) -> bool + Sync,
     {
-        let entry = self.entry(key);
+        let entry = self.entries.get(key);
         let mode = self.acquire_when(entry, &pred, &Limit::Signal(signal))?;
         Ok(self.guard(entry, mode))
     }
@@ -536,11 +517,7 @@ impl<K, T> Arena<K, T> {
             resident_cores: self.pool.resident(),
             built_cores: self.pool.built.load(Ordering::SeqCst),
             pool_capacity: self.pool.slots.len(),
-            keys: self
-                .shards
-                .iter()
-                .map(|s| s.map.read().unwrap().len())
-                .sum(),
+            keys: self.entries.len(),
             promotions: self.promotions.load(Ordering::Relaxed),
             demotions: self.demotions.load(Ordering::Relaxed),
             raced_promotions: self.raced_promotions.load(Ordering::Relaxed),
@@ -548,9 +525,9 @@ impl<K, T> Arena<K, T> {
         }
     }
 
-    /// Number of hash shards.
+    /// Number of key-index shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.entries.shard_count()
     }
 
     // ---- the protocol -------------------------------------------------
@@ -896,7 +873,7 @@ impl<K, T> Arena<K, T> {
 impl<K, T> fmt::Debug for Arena<K, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Arena")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.entries.shard_count())
             .field("pool", &self.pool.slots.len())
             .field("built_cores", &self.pool.built.load(Ordering::Relaxed))
             .finish_non_exhaustive()
@@ -930,7 +907,7 @@ pub struct ArenaGuard<'a, K, T> {
     _not_send: PhantomData<*const ()>,
 }
 
-// Safety: `&ArenaGuard` only exposes `&T`, so sharing requires exactly
+// SAFETY: `&ArenaGuard` only exposes `&T`, so sharing requires exactly
 // `T: Sync` (matching std's guard).
 unsafe impl<K, T: Sync> Sync for ArenaGuard<'_, K, T> {}
 
@@ -938,14 +915,14 @@ impl<K, T> Deref for ArenaGuard<'_, K, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // Safety: we hold the key's lock.
+        // SAFETY: we hold the key's lock.
         unsafe { &*self.entry.data.get() }
     }
 }
 
 impl<K, T> DerefMut for ArenaGuard<'_, K, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // Safety: we hold the key's lock exclusively.
+        // SAFETY: we hold the key's lock exclusively.
         unsafe { &mut *self.entry.data.get() }
     }
 }
@@ -1138,6 +1115,88 @@ mod tests {
         let s = arena.stats();
         assert!(s.built_cores <= 1, "pool bound respected");
         assert_eq!(s.resident_cores, 0);
+    }
+
+    #[test]
+    fn racing_first_touches_across_growths_lose_nothing() {
+        // One shard: every insert and every table growth (8 slots up to
+        // 16 Ki) lands in one table chain while all threads probe it.
+        let (threads, span, stride) = (4u32, 4000u32, 1000u32);
+        let arena: Arc<Arena<u32, u64>> = Arc::new(Arena::builder().shards(1).build());
+        let start = Arc::new(std::sync::Barrier::new(threads as usize));
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let arena = Arc::clone(&arena);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let range = t * stride..t * stride + span;
+                    // Odd threads walk down, so first touches collide
+                    // from both ends of each overlap.
+                    if t % 2 == 0 {
+                        range.for_each(|k| *arena.lock(&k) += 1);
+                    } else {
+                        range.rev().for_each(|k| *arena.lock(&k) += 1);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let distinct = (threads - 1) * stride + span;
+        assert_eq!(arena.stats().keys, distinct as usize);
+        for k in 0..distinct {
+            let covering = (0..threads)
+                .filter(|t| (t * stride..t * stride + span).contains(&k))
+                .count() as u64;
+            assert_eq!(*arena.lock(&k), covering, "key {k}");
+        }
+        assert_eq!(arena.stats().keys, distinct as usize);
+    }
+
+    #[test]
+    fn dropping_the_arena_drops_every_value_once() {
+        static CREATED: AtomicUsize = AtomicUsize::new(0);
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        struct Counted(u64);
+        impl Default for Counted {
+            fn default() -> Self {
+                CREATED.fetch_add(1, Ordering::SeqCst);
+                Counted(0)
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPPED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let arena: Arena<u32, Counted> = Arena::builder().shards(2).build();
+        for k in (0..3000).chain(0..1000) {
+            arena.lock(&k).0 += 1;
+        }
+        assert_eq!(arena.lock(&7).0, 2);
+        let keys = arena.stats().keys;
+        assert_eq!(keys, 3000);
+        assert_eq!(CREATED.load(Ordering::SeqCst), keys, "one value per key");
+        assert_eq!(DROPPED.load(Ordering::SeqCst), 0);
+        drop(arena);
+        assert_eq!(
+            DROPPED.load(Ordering::SeqCst),
+            keys,
+            "each value dropped once"
+        );
+    }
+
+    #[test]
+    fn try_lock_on_a_new_key_creates_one_entry() {
+        let arena: Arena<u32, u64> = Arena::new();
+        let g = arena.try_lock(&5).expect("a new key is free");
+        assert_eq!(arena.stats().keys, 1);
+        assert!(arena.try_lock(&5).is_none());
+        drop(g);
+        assert!(arena.try_lock(&5).is_some());
+        assert_eq!(arena.stats().keys, 1);
     }
 
     #[test]
