@@ -13,60 +13,52 @@ bounded() { timeout 300 "$@"; }
 cargo build --release
 cargo test -q
 cargo test --release -q
-# Parallel experiment engine: determinism across worker counts, and the
-# scaling smoke (which itself asserts parallel output is byte-identical
-# to the serial reference before reporting any timing).
+# Parallel experiment engine: every Table-1 row's probed sweep (points
+# JSON + merged JSONL) must be byte-identical at every worker count.
 SAL_JOBS=2 cargo test --release -q -p sal-bench --test parallel_determinism
-cargo run --release -q -p sal-bench --bin expscale -- --smoke
 # Step-lease scheduler: every artifact must be byte-identical at every
-# lease cap. The suite sweeps caps internally; the SAL_LEASE runs also
-# pin the *ambient* default (harness literals, sweep defaults) to the
-# legacy per-step path and to a capped path. The simscale smoke asserts
-# leased output matches the per-step reference before timing anything.
+# lease cap, including contended long-lived(B=16) and tournament cells
+# under round-robin and bursty schedules. The suite sweeps caps
+# internally; the SAL_LEASE runs also pin the *ambient* default
+# (harness literals, sweep defaults) to the legacy per-step path and to
+# a capped path.
 SAL_LEASE=1 cargo test --release -q -p sal-bench --test lease_determinism
 SAL_LEASE=64 cargo test --release -q -p sal-bench --test lease_determinism
-cargo run --release -q -p sal-bench --bin simscale -- --smoke
 # One dispatch path: every kind driven through the registry's AnyLock
-# must simulate identically to its concrete type, and the native
-# hardware bench (writes target/experiments/BENCH_hwscale.json) must
-# run.
+# must simulate identically to its concrete type.
 cargo test --release -q -p sal-bench --test mono_equivalence
-cargo run --release -q -p sal-bench --bin hwscale -- --smoke
 # Conditional critical sections: the lock_when/await_when API and the
-# deadline abort path on real threads, plus the wakeup-storm bench
-# (writes target/experiments/BENCH_ccs.json; asserts evaluate <
-# broadcast on prodcons and the per-cell invariants internally). The
-# SAL_LEASE=1 run keeps the legacy per-step gate covered on the CCS
-# suite too. wait_layer covers the pid-and-wait layer shared by all
-# three surfaces (panicking predicates, wake after abort, pid reuse).
+# deadline abort path on real threads. ccs_api also runs the
+# prodcons/bqueue/barrier grid (policy x threads x deadline-abort rate,
+# state invariants in every cell) and asserts that unlock-side
+# evaluation wakes fewer waiters per transition than broadcast on
+# prodcons. The SAL_LEASE=1 run keeps the legacy per-step gate covered
+# on the CCS suite too. wait_layer covers the pid-and-wait layer shared
+# by all three surfaces (panicking predicates, wake after abort, pid
+# reuse).
 bounded cargo test --release -q -p sal-bench --test ccs_api --test deadline_locking --test wait_layer
 SAL_LEASE=1 bounded cargo test --release -q -p sal-bench --test ccs_api
-cargo run --release -q -p sal-bench --bin ccsscale -- --smoke
 # Async surface: resumable enter core + AsyncAbortableMutex, where
-# dropping a pending lock future runs the bounded abort. The harness
-# cancels at every poll depth and the storm bench (writes
-# target/experiments/BENCH_async.json) asserts the ≤300-op abort bound
-# and zero leakage. Run under the default and the SAL_LEASE=1 legacy
-# gate like the CCS suite. Unsafe code in the waker plumbing is held to
-# clippy::undocumented_unsafe_blocks (enforced via the workspace lints
-# through `cargo clippy -- -D warnings` below).
+# dropping a pending lock future runs the bounded abort. async_mutex
+# asserts no lost update with tasks far outnumbering pids, zero pid and
+# ticket leaks after a cancellation storm, the <=300-op bound on each
+# dropped future, and evaluate < broadcast wakeups; async_cancellation
+# cancels at every poll depth. Run under the default and the SAL_LEASE=1
+# legacy gate like the CCS suite. Unsafe code in the waker plumbing is
+# held to clippy::undocumented_unsafe_blocks (enforced via the workspace
+# lints through `cargo clippy -- -D warnings` below).
 bounded cargo test --release -q -p sal-bench --test async_mutex --test async_cancellation
 SAL_LEASE=1 bounded cargo test --release -q -p sal-bench --test async_mutex --test async_cancellation
-cargo run --release -q -p sal-bench --bin asyncscale -- --smoke
 # Keyed lock arena: the inline-word protocol is model-checked over
 # every interleaving (arena_protocol), the public surface stressed on
-# real threads (arena_api + the sal-sync unit suite), both under the
-# default config and the SAL_LEASE=1 legacy gate. The arenascale smoke
-# (writes target/experiments/BENCH_arena.json) asserts per-cell
-# lost-update and zero-leak invariants internally; the greps below pin
-# that the artifact actually records the resident-object bounds.
+# real threads (arena_api, including exact per-key sums, no resident
+# core and built cores within the pool of 16 at 16,384 keys; plus the
+# sal-sync unit suite), both under the default config and the
+# SAL_LEASE=1 legacy gate.
 bounded cargo test --release -q -p sal-bench --test arena_protocol --test arena_api
 SAL_LEASE=1 bounded cargo test --release -q -p sal-bench --test arena_protocol --test arena_api
 bounded cargo test --release -q -p sal-sync arena
 SAL_LEASE=1 bounded cargo test --release -q -p sal-sync arena
-cargo run --release -q -p sal-bench --bin arenascale -- --smoke
-grep -q '"max_built_cores_at_max_keys"' target/experiments/BENCH_arena.json
-grep -q '"resident_bounded":true' target/experiments/BENCH_arena.json
 # Guided schedule search: DPOR pruning and best-first must agree with
 # exhaustive BFS on every verdict (and least canonical witness) — run
 # the equivalence suite under the default and the SAL_LEASE=1 legacy
@@ -79,7 +71,8 @@ cargo run --release -q -p sal-bench --bin explorescale -- --smoke
 grep -q '"target_met":true' target/experiments/BENCH_explore.json
 # Amortized accounting + the Jayanti–Jayanti constant-amortized lock:
 # the aggregate must reconcile bit-exactly with the memory's RMR
-# counters (amortized_accounting) and the cumulative bill must obey the
+# counters (amortized_accounting, in the simulator and on real threads
+# for every long-lived kind) and the cumulative bill must obey the
 # debt ledger total ≤ c·passages + b (rmr_bounds) — under the default
 # and the SAL_LEASE=1 legacy gate. The table1 smoke runs the M9
 # amortized experiment (writes target/experiments/BENCH_table1.json);

@@ -404,10 +404,8 @@ fn main() {
         reference.max_entered_rmrs
     );
 
-    let out = Json::obj(vec![
+    let out = vec![
         ("bench", "explorescale".to_json()),
-        ("mode", if smoke { "smoke" } else { "full" }.to_json()),
-        ("available_parallelism", Json::Int(available as i64)),
         ("jobs", Json::Int(jobs as i64)),
         ("budget_runs", Json::Int(budget as i64)),
         ("equivalence_ok", true.to_json()), // gate exits on failure
@@ -434,9 +432,9 @@ fn main() {
             "cells",
             Json::Arr(grid.iter().map(CellRun::to_json).collect()),
         ),
-    ]);
+    ];
 
-    sal_bench::save_artifact("explore", smoke, &out);
+    sal_bench::save_artifact("explore", smoke, out);
 }
 
 fn bad<T>(e: String) -> T {

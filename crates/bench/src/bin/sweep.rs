@@ -316,7 +316,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The FromStr path shared by sweep/explore/hwscale, re-targeted to
+    // The FromStr path shared by sweep and explore, re-targeted to
     // the CLI branching factor.
     let kind = match args.lock.parse::<LockKind>() {
         Ok(k) => k.with_branching(args.b),

@@ -373,9 +373,8 @@ fn amortized(jobs: usize, smoke: bool) {
             ])
         })
         .collect();
-    let out = Json::obj(vec![
+    let out = vec![
         ("bench", "table1".to_json()),
-        ("mode", if smoke { "smoke" } else { "full" }.to_json()),
         ("branching", (B as u64).to_json()),
         (
             "ns",
@@ -396,8 +395,8 @@ fn amortized(jobs: usize, smoke: bool) {
         ("target_met", target_met.to_json()),
         ("caveats", caveats.to_json()),
         ("rows", Json::Arr(rows)),
-    ]);
-    sal_bench::save_artifact("table1", smoke, &out);
+    ];
+    sal_bench::save_artifact("table1", smoke, out);
 }
 
 fn main() {

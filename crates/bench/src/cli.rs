@@ -11,7 +11,7 @@
 //! * `--help`/`-h` with a usage block generated from the declarations,
 //! * unknown-flag errors that list every valid flag (the same
 //!   discoverability rule the lock registry applies to `--lock` names),
-//! * typed accessors ([`Parsed::get`], [`Parsed::list`]) plus
+//! * typed accessors ([`Parsed::get`], [`Parsed::get_or`]) plus
 //!   convenience readers for the cross-binary vocabulary:
 //!   [`Parsed::smoke`], [`Parsed::jobs`], [`Parsed::lock`],
 //!   [`Parsed::seeds`].
@@ -269,19 +269,6 @@ impl Parsed {
         Ok(self.get(name)?.unwrap_or(default))
     }
 
-    /// Comma-separated list value of `name` (`--seeds 1,2,3`), or
-    /// `None` when absent.
-    ///
-    /// # Errors
-    ///
-    /// When any element fails to parse, or the list is empty.
-    pub fn list<T: std::str::FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.value(name).map(|v| parse_list(name, v)).transpose()
-    }
-
     /// Did `--help` appear? ([`Cli::parse_env_or_exit`] handles this
     /// before returning; the accessor exists for tests.)
     pub fn help_requested(&self) -> bool {
@@ -318,7 +305,9 @@ impl Parsed {
     ///
     /// When any element fails to parse, or the list is empty.
     pub fn seeds(&self) -> Result<Option<Vec<u64>>, String> {
-        self.list("--seeds")
+        self.value("--seeds")
+            .map(|v| parse_list("--seeds", v))
+            .transpose()
     }
 
     /// `--strategy s` as a guided-search [`Strategy`], or `None` when

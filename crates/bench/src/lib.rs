@@ -7,13 +7,15 @@
 //!
 //! * `cargo run -p sal-bench --bin table1 -- <worst-case|no-abort|adaptive|space|fairness|all>`
 //! * `cargo run -p sal-bench --bin figures -- <fig2|fig4|fig5|logw|all>`
-//! * `cargo bench -p sal-bench` — wall-clock sanity benches of the real
-//!   `AbortableMutex` against classic locks.
+//!
+//! Lock wall-clock timings live in the `perfbench` package at the
+//! repository root, which times the real `sal-sync` surfaces against
+//! `std::sync::Mutex` and the classic locks.
 //!
 //! The library half provides the lock registry (build any lock in the
 //! workspace by kind), the workload builders, and plain-text/JSON result
 //! rendering. `EXPERIMENTS.md` at the repo root records paper-vs-measured
-//! for every experiment id (E1–E10, W1) defined in `DESIGN.md`.
+//! for every experiment id defined in `DESIGN.md`.
 
 #![warn(missing_docs)]
 
@@ -28,7 +30,6 @@ pub use grid::{par_grid, parse_jobs_args};
 pub use registry::{build_lock, AnyLock, LockKind};
 pub use report::{export_events, save_artifact, save_json, save_json_with_log, RmrSummary, Table};
 pub use workloads::{
-    adaptive_sweep, adaptive_sweep_probed, amortized_companion, amortized_sweep, no_abort_sweep,
-    no_abort_sweep_probed, space_row, worst_case_sweep, worst_case_sweep_probed, AmortizedPoint,
-    ExploreCell, SweepPoint,
+    adaptive_sweep, adaptive_sweep_probed, amortized_sweep, no_abort_sweep, no_abort_sweep_probed,
+    space_row, worst_case_sweep, worst_case_sweep_probed, AmortizedPoint, ExploreCell, SweepPoint,
 };

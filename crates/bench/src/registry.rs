@@ -66,8 +66,6 @@ const ABORTABLE: u8 = 1;
 const ONE_SHOT: u8 = 2;
 /// [`Row::flags`] bit: the kind is a row of the Table-1 comparison.
 const TABLE1: u8 = 4;
-/// [`Row::flags`] bit: the layout holds one slot per enter attempt.
-const PER_ATTEMPT: u8 = 8;
 
 /// One registry entry: everything the workspace knows about a kind.
 struct Row {
@@ -75,10 +73,11 @@ struct Row {
     name: &'static str,
     /// The kind at branching factor `b` (non-tree kinds ignore `b`).
     kind: fn(usize) -> LockKind,
-    /// Bit set of [`ABORTABLE`], [`ONE_SHOT`], [`TABLE1`] and
-    /// [`PER_ATTEMPT`].
+    /// Bit set of [`ABORTABLE`], [`ONE_SHOT`] and [`TABLE1`].
     flags: u8,
-    /// Lay the lock out: `(builder, n, b, attempts)`.
+    /// Lay the lock out: `(builder, n, b, attempts)`. The
+    /// `long-lived-simple`, `scott` and `lee` layouts hold one slot per
+    /// enter attempt; the others ignore `attempts`.
     layout: fn(&mut MemoryBuilder, usize, usize, usize) -> AnyLock,
 }
 
@@ -93,7 +92,7 @@ const KINDS: &[Row] = &[
           layout: |m, n, b, _| AnyLock::OneShotDsm(DsmOneShotLock::layout(m, n, b)) },
     Row { name: "long-lived", kind: |b| LockKind::LongLived { b }, flags: ABORTABLE | TABLE1,
           layout: |m, n, b, _| AnyLock::LongLived(BoundedLongLivedLock::layout(m, n, b)) },
-    Row { name: "long-lived-simple", kind: |b| LockKind::LongLivedSimple { b }, flags: ABORTABLE | PER_ATTEMPT,
+    Row { name: "long-lived-simple", kind: |b| LockKind::LongLivedSimple { b }, flags: ABORTABLE,
           layout: |m, n, b, a| AnyLock::LongLivedSimple(SimpleLongLivedLock::layout(m, n, b, a + 1)) },
     Row { name: "mcs", kind: |_| LockKind::Mcs, flags: 0,
           layout: |m, n, _, _| AnyLock::Mcs(McsLock::layout(m, n)) },
@@ -103,9 +102,9 @@ const KINDS: &[Row] = &[
           layout: |m, _, _, _| AnyLock::Tas(TasLock::layout(m)) },
     Row { name: "tournament", kind: |_| LockKind::Tournament, flags: ABORTABLE | TABLE1,
           layout: |m, n, _, _| AnyLock::Tournament(TournamentLock::layout(m, n)) },
-    Row { name: "scott", kind: |_| LockKind::Scott, flags: ABORTABLE | TABLE1 | PER_ATTEMPT,
+    Row { name: "scott", kind: |_| LockKind::Scott, flags: ABORTABLE | TABLE1,
           layout: |m, n, _, a| AnyLock::Scott(ScottLock::layout(m, n, a + 1)) },
-    Row { name: "lee", kind: |_| LockKind::Lee, flags: ABORTABLE | TABLE1 | PER_ATTEMPT,
+    Row { name: "lee", kind: |_| LockKind::Lee, flags: ABORTABLE | TABLE1,
           layout: |m, n, _, a| AnyLock::Lee(LeeLock::layout(m, n, a + 1)) },
     Row { name: "jj-amortized", kind: |_| LockKind::JjAmortized, flags: ABORTABLE | TABLE1,
           layout: |m, n, _, _| AnyLock::JjAmortized(JjLock::layout(m, n)) },
@@ -167,12 +166,6 @@ impl LockKind {
         self.has(ONE_SHOT)
     }
 
-    /// Whether the layout holds one slot per enter attempt, so a run
-    /// must budget its attempts when the lock is built.
-    pub fn per_attempt(self) -> bool {
-        self.has(PER_ATTEMPT)
-    }
-
     /// Parse a CLI lock name (`one-shot`, `long-lived`, `mcs`, …) at
     /// branching factor `b` for the tree-based kinds.
     ///
@@ -226,11 +219,10 @@ impl LockKind {
     }
 }
 
-/// The single CLI parse path shared by `sweep`, `explore` and
-/// `hwscale`: delegates to [`LockKind::parse`] at the paper's default
-/// branching factor (`W = 16`); apply a CLI-supplied factor afterwards
-/// with [`LockKind::with_branching`]. The error lists
-/// [`LockKind::NAMES`].
+/// The single CLI parse path shared by `sweep` and `explore`:
+/// delegates to [`LockKind::parse`] at the paper's default branching
+/// factor (`W = 16`); apply a CLI-supplied factor afterwards with
+/// [`LockKind::with_branching`]. The error lists [`LockKind::NAMES`].
 impl std::str::FromStr for LockKind {
     type Err = String;
 
@@ -295,10 +287,10 @@ macro_rules! dispatch {
 
 impl AnyLock {
     /// Lay `kind` out for `n` processes in a caller-supplied builder,
-    /// budgeting for `attempts` total enter attempts (see
-    /// [`LockKind::per_attempt`]). The caller picks the memory model:
-    /// [`build_lock`] builds CC memory, `hwscale` raw atomics and the
-    /// A3b ablation DSM memory.
+    /// budgeting for `attempts` total enter attempts (the kinds whose
+    /// layout holds one slot per attempt need it). The caller picks the
+    /// memory model: [`build_lock`] builds CC memory, the real-thread
+    /// tests raw atomics and the A3b ablation DSM memory.
     pub fn layout(kind: LockKind, mem: &mut MemoryBuilder, n: usize, attempts: usize) -> AnyLock {
         (kind.row().layout)(mem, n, kind.branching().unwrap_or(0), attempts)
     }
@@ -357,7 +349,7 @@ impl std::fmt::Debug for BuiltLock {
 }
 
 /// Build `kind` for `n` processes over CC memory, budgeting for
-/// `attempts` total enter attempts (see [`LockKind::per_attempt`]).
+/// `attempts` total enter attempts (see [`AnyLock::layout`]).
 pub fn build_lock(kind: LockKind, n: usize, attempts: usize) -> BuiltLock {
     let mut b = MemoryBuilder::new();
     let lock = Box::new(AnyLock::layout(kind, &mut b, n, attempts));

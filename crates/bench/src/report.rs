@@ -1,8 +1,14 @@
 //! Plain-text table rendering and JSON result persistence.
+//!
+//! Every writer here follows one directory rule: paths resolve from the
+//! root of the workspace this crate was compiled in, never from the
+//! current directory. Experiment outputs go to `target/experiments/`
+//! under that root; a full run's `BENCH_<name>.json` goes to the root
+//! itself.
 
 use sal_obs::{Json, ToJson};
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// A simple aligned-text table (the bench binaries print the same rows
 /// the paper's Table 1 reports, with measured numbers).
@@ -126,41 +132,68 @@ impl ToJson for RmrSummary {
     }
 }
 
-/// Persist any [`ToJson`] experiment result as JSON under
-/// `target/experiments/<name>.json` (best-effort; failures are printed,
-/// not fatal — the text output is the primary artifact).
-pub fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
-    let dir = Path::new("target/experiments");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("(could not create {dir:?}: {e})");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, value.to_json().render()) {
-        eprintln!("(could not write {path:?}: {e})");
+/// The directory every writer in this module writes to, and the one
+/// rule they share: paths resolve from the root of the workspace this
+/// crate was compiled in (its manifest directory, fixed at build
+/// time), never from the current directory. `root_level` selects the
+/// workspace root itself, where the committed `BENCH_*.json` artifacts
+/// live; otherwise the directory is `target/experiments/` under it.
+/// The directory is created if missing.
+fn out_dir(root_level: bool) -> std::io::Result<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the crate sits two levels below the workspace root");
+    let dir = if root_level {
+        root.to_path_buf()
     } else {
-        println!("(saved {})", path.display());
+        root.join("target/experiments")
+    };
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir)
+}
+
+/// Write `text` to `file` in [`out_dir`], returning the path written.
+fn write_out(root_level: bool, file: &str, text: &str) -> std::io::Result<PathBuf> {
+    let path = out_dir(root_level)?.join(file);
+    std::fs::write(&path, text)?;
+    Ok(path)
+}
+
+/// Persist any [`ToJson`] experiment result as JSON at
+/// `target/experiments/<name>.json` under the workspace root (see the
+/// module docs). Best-effort: failures are printed, not fatal — the
+/// text output is the primary artifact.
+pub fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
+    match write_out(false, &format!("{name}.json"), &value.to_json().render()) {
+        Ok(path) => println!("(saved {})", path.display()),
+        Err(e) => eprintln!("(could not write {name}.json: {e})"),
     }
 }
 
 /// Write a bench binary's acceptance artifact `BENCH_<name>.json`,
 /// exiting with status 1 when it cannot be written. A full run writes
-/// it at the repository root, where the committed copy lives; a
+/// it at the workspace root, where the committed copy lives; a
 /// `--smoke` run writes it under `target/experiments/`, so CI smoke
-/// runs never overwrite the committed artifact. Both locations resolve
-/// from this crate's manifest, independent of the working directory.
-pub fn save_artifact(name: &str, smoke: bool, value: &Json) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = if smoke {
-        root.join("target/experiments")
-    } else {
-        root
-    };
-    let path = dir.join(format!("BENCH_{name}.json"));
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, value.render())) {
-        Ok(()) => println!("(saved {})", path.display()),
+/// runs never overwrite the committed artifact (see the module docs).
+///
+/// The artifact is one object: the provenance fields `mode` (`"full"`
+/// or `"smoke"`), `available_parallelism` of the host and `git_rev`
+/// (the revision the binary was built from, `"unknown"` outside a git
+/// checkout), followed by the caller's `fields`.
+pub fn save_artifact(name: &str, smoke: bool, fields: Vec<(&str, Json)>) {
+    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let mut all = vec![
+        ("mode", if smoke { "smoke" } else { "full" }.to_json()),
+        ("available_parallelism", (parallelism as u64).to_json()),
+        ("git_rev", env!("SAL_BENCH_GIT_REV").to_json()),
+    ];
+    all.extend(fields);
+    let file = format!("BENCH_{name}.json");
+    match write_out(!smoke, &file, &Json::obj(all).render()) {
+        Ok(path) => println!("(saved {})", path.display()),
         Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
+            eprintln!("could not write {file}: {e}");
             std::process::exit(1);
         }
     }
@@ -179,11 +212,12 @@ pub fn save_json_with_log<T: ToJson + ?Sized>(name: &str, value: &T, log: &sal_o
     save_json(name, &wrapped);
 }
 
-/// Export an [`EventLog`](sal_obs::EventLog) as JSONL under
-/// `target/experiments/<name>.jsonl` and verify the file parses back to
-/// the same events — the replay-schema contract the exports promise.
+/// Export an [`EventLog`](sal_obs::EventLog) as JSONL at
+/// `target/experiments/<name>.jsonl` under the workspace root (see the
+/// module docs) and verify the file parses back to the same events —
+/// the replay-schema contract the exports promise.
 pub fn export_events(log: &sal_obs::EventLog, name: &str) {
-    match log.export_jsonl(name) {
+    match write_out(false, &format!("{name}.jsonl"), &log.to_jsonl()) {
         Ok(path) => {
             let round_trip = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())

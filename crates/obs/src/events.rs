@@ -10,7 +10,6 @@
 use crate::json::Json;
 use crate::probe::Probe;
 use sal_memory::{OpKind, Pid};
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// What happened, for one [`ObsEvent`].
@@ -247,16 +246,6 @@ impl EventLog {
             out.push('\n');
         }
         out
-    }
-
-    /// Write the retained events as JSONL to
-    /// `target/experiments/<name>.jsonl`, returning the path written.
-    pub fn export_jsonl(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = Path::new("target").join("experiments");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.jsonl"));
-        std::fs::write(&path, self.to_jsonl())?;
-        Ok(path)
     }
 
     /// Parse a JSONL export back into events — the replay direction of

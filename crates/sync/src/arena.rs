@@ -33,7 +33,7 @@
 //! so a waiter whose limit fires *while queued* abandons on the paper's
 //! bounded abort path.
 //!
-//! Keys resolve to their entries through [`KeyMap`], a sharded index
+//! Keys resolve to their entries through `KeyMap`, a sharded index
 //! that only ever grows and is read without locks: a touched key costs
 //! one hash and a few atomic loads, with no store and no lock, before
 //! its inline CAS. First touches insert under a per-shard mutex.
@@ -94,7 +94,7 @@
 
 mod keymap;
 
-pub use keymap::KeyMap;
+use keymap::KeyMap;
 
 use crate::ccs::WakePolicy;
 use crate::wait::{check_held, EnterSlots, Limit, LockBase, PidPool};

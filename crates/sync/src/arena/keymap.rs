@@ -122,18 +122,7 @@ struct Shard<K, V> {
 /// the module docs for the publication argument.
 ///
 /// [`get`]: KeyMap::get
-///
-/// ```
-/// use sal_sync::arena::KeyMap;
-/// use std::sync::atomic::{AtomicU64, Ordering};
-///
-/// let map: KeyMap<&str, AtomicU64> = KeyMap::new(4);
-/// map.get(&"a").fetch_add(1, Ordering::Relaxed);
-/// map.get(&"a").fetch_add(1, Ordering::Relaxed);
-/// assert_eq!(map.get(&"a").load(Ordering::Relaxed), 2);
-/// assert_eq!(map.len(), 1);
-/// ```
-pub struct KeyMap<K, V> {
+pub(crate) struct KeyMap<K, V> {
     shards: Box<[Shard<K, V>]>,
     /// `log2(shards.len())`: the hash bits that pick the shard.
     shard_bits: u32,
@@ -183,11 +172,6 @@ impl<K, V> KeyMap<K, V> {
             .iter()
             .map(|s| s.len.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// No key was ever inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -308,6 +292,15 @@ mod tests {
     use std::hash::Hasher;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicU64};
+
+    #[test]
+    fn get_inserts_the_default_once_then_returns_the_same_value() {
+        let map: KeyMap<&str, AtomicU64> = KeyMap::new(4);
+        map.get(&"a").fetch_add(1, Ordering::Relaxed);
+        map.get(&"a").fetch_add(1, Ordering::Relaxed);
+        assert_eq!(map.get(&"a").load(Ordering::Relaxed), 2);
+        assert_eq!(map.len(), 1);
+    }
 
     #[test]
     fn a_panic_while_growing_leaves_the_map_usable() {

@@ -62,7 +62,8 @@
 //! yielding, which keeps a pid free for the task that can satisfy the
 //! others. The evaluate-vs-broadcast economics
 //! ([`WakePolicy`](crate::WakePolicy)) therefore apply unchanged to
-//! tasks — `asyncscale` measures them on the async path.
+//! tasks (`tests/async_mutex.rs` checks that evaluation wakes fewer
+//! tasks than broadcast).
 //!
 //! ## Deadline caveat
 //!

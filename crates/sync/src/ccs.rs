@@ -93,8 +93,8 @@ pub enum WakePolicy {
     Evaluate,
     /// Wake every registered waiter on every unlock without looking at
     /// conditions — the classic broadcast condition variable. Kept as
-    /// the measured baseline (`ccsscale` quantifies the wakeup storm);
-    /// behaviour is identical, only wakeup counts differ.
+    /// the baseline that `tests/ccs_api.rs` compares wakeup counts
+    /// against; behaviour is identical, only wakeup counts differ.
     Broadcast,
 }
 

@@ -45,8 +45,8 @@
 //! evaluates them under the lock, waking only the waiters whose
 //! condition currently holds — one state transition wakes the
 //! satisfiable waiters, not the whole herd. The broadcast behaviour is
-//! available as [`WakePolicy::Broadcast`] (the measured baseline of the
-//! `ccsscale` bench).
+//! available as [`WakePolicy::Broadcast`], the baseline that
+//! `tests/ccs_api.rs` checks evaluation against.
 //!
 //! ## Async locking
 //!

@@ -12,11 +12,15 @@
 //!   models;
 //! * the fan-in paths (`merge_from` at the stats level and at the
 //!   aggregate level) and the JSON codec preserve every bit.
+//!
+//! The ground-truth check also runs on real OS threads, for every
+//! long-lived registry kind.
 
+use sal_bench::{build_lock, LockKind};
 use sal_core::long_lived::JjLock;
 use sal_core::one_shot::OneShotLock;
-use sal_memory::Mem;
-use sal_memory::MemoryBuilder;
+use sal_core::{Immediate, LockCore};
+use sal_memory::{Mem, MemoryBuilder, NeverAbort};
 use sal_obs::{AmortizedStats, Json, PassageStats, ToJson};
 use sal_runtime::{
     run_lock_probed, run_one_shot_probed, ProcPlan, RandomSchedule, RoundRobin, SchedulePolicy,
@@ -242,4 +246,57 @@ fn empty_runs_merge_as_the_identity() {
     let mut from_empty = AmortizedStats::empty();
     from_empty.merge_from(&stats.amortized());
     assert_eq!(from_empty, stats.amortized());
+}
+
+/// `threads` real OS threads drive `kind` over CC memory for
+/// `attempts` enter attempts each, recording into one shared
+/// [`PassageStats`] sink. Every `abort_every`-th attempt (staggered by
+/// pid) carries a pre-fired abort signal. Each pid's ops run on its own
+/// thread, so per-pid attribution is exact without the simulator's step
+/// gate, and the aggregate must still match the memory's counters.
+fn real_thread_run(kind: LockKind, threads: usize, abort_every: Option<usize>, attempts: usize) {
+    let built = build_lock(kind, threads, threads * attempts);
+    let stats = PassageStats::new();
+    std::thread::scope(|s| {
+        for p in 0..threads {
+            let (lock, mem, stats) = (&built.lock, &built.mem, stats.clone());
+            s.spawn(move || {
+                for i in 0..attempts {
+                    let ok = if abort_every.is_some_and(|k| (i + p).is_multiple_of(k)) {
+                        lock.enter_core(mem, p, &Immediate, &stats).entered()
+                    } else {
+                        lock.enter_core(mem, p, &NeverAbort, &stats).entered()
+                    };
+                    if ok {
+                        lock.exit_core(mem, p, &stats);
+                    }
+                }
+            });
+        }
+    });
+    let label = format!(
+        "{} threads={threads} abort_every={abort_every:?}",
+        kind.label()
+    );
+    assert_eq!(
+        stats.amortized().passages,
+        (threads * attempts) as u64,
+        "{label}: every attempt is one passage"
+    );
+    assert_amortized_exact(&stats, &built.mem, &label);
+}
+
+#[test]
+fn real_threads_match_cc_ground_truth_for_every_long_lived_kind() {
+    for kind in LockKind::all(8).into_iter().filter(|k| !k.one_shot()) {
+        for threads in [2, 4] {
+            for abort_every in [None, Some(4)] {
+                real_thread_run(kind, threads, abort_every, 100);
+            }
+        }
+    }
+    // The arena's lock core at the builder-default branching.
+    for abort_every in [None, Some(8)] {
+        real_thread_run(LockKind::LongLived { b: 64 }, 4, abort_every, 100);
+    }
 }

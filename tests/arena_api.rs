@@ -10,6 +10,7 @@
 //! The suite is lease-agnostic: CI runs it under both the default
 //! scheduler config and `SAL_LEASE=1`.
 
+use sal_runtime::SmallRng;
 use sal_sync::{AbortFlag, Arena};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -223,4 +224,92 @@ fn lock_when_deadlines_expire_cleanly() {
         .lock_when_for(&10, |v| *v == 42, Duration::from_millis(500))
         .expect("predicate already true");
     assert_eq!(*g, 42);
+}
+
+/// Draw a key from `0..keys`: uniformly when `cdf` is `None`, else by
+/// binary search in the normalised cumulative weights.
+fn draw(rng: &mut SmallRng, keys: usize, cdf: Option<&[f64]>) -> u64 {
+    match cdf {
+        None => rng.random_range(0..keys) as u64,
+        Some(cdf) => {
+            let u = rng.next_u64() as f64 / u64::MAX as f64;
+            cdf.partition_point(|&c| c < u).min(keys - 1) as u64
+        }
+    }
+}
+
+/// The pool bound at scale: four threads, 20,000 operations each over
+/// 16,384 keys, under uniform and zipf(1.1) key choice, with and
+/// without a `try_lock` on every 8th operation. Every key's value must
+/// equal the number of acquisitions that incremented it, no core may
+/// stay resident, and the cores ever built must stay within the pool
+/// of 16 — resident lock state scales with contention, not with keys.
+#[test]
+fn pool_bounds_built_cores_at_sixteen_thousand_keys() {
+    let threads = 4;
+    let ops = 20_000;
+    let keys = 16_384;
+    let pool = 16;
+    let zipf_cdf: Vec<f64> = {
+        let weights: Vec<f64> = (1..=keys).map(|i| 1.0 / (i as f64).powf(1.1)).collect();
+        let total: f64 = weights.iter().sum();
+        weights
+            .iter()
+            .scan(0.0, |acc, w| {
+                *acc += w;
+                Some(*acc / total)
+            })
+            .collect()
+    };
+    for cdf in [None, Some(zipf_cdf.as_slice())] {
+        for try_every in [None, Some(8)] {
+            let arena: Arena<u64, u64> = Arena::builder()
+                .shards(256)
+                .pool(pool)
+                .core_capacity(threads + 1)
+                .build();
+            let barrier = Barrier::new(threads);
+            let counts: Vec<Vec<u64>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let (arena, barrier) = (&arena, &barrier);
+                        s.spawn(move || {
+                            let mut rng = SmallRng::seed_from_u64(0x9E37 ^ ((t as u64) << 8));
+                            let mut counts = vec![0u64; keys];
+                            barrier.wait();
+                            for i in 0..ops {
+                                let key = draw(&mut rng, keys, cdf);
+                                if try_every.is_some_and(|k| i % k == 0) {
+                                    if let Some(mut g) = arena.try_lock(&key) {
+                                        *g += 1;
+                                        counts[key as usize] += 1;
+                                    }
+                                } else {
+                                    *arena.lock(&key) += 1;
+                                    counts[key as usize] += 1;
+                                }
+                            }
+                            counts
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let cell = format!("zipf={} try_every={try_every:?}", cdf.is_some());
+            let stats = arena.stats();
+            assert_eq!(stats.resident_cores, 0, "{cell}: a core leaked: {stats:?}");
+            assert!(
+                stats.built_cores <= pool,
+                "{cell}: pool bound violated: {stats:?}"
+            );
+            for key in 0..keys {
+                let want: u64 = counts.iter().map(|c| c[key]).sum();
+                assert_eq!(
+                    *arena.lock(&(key as u64)),
+                    want,
+                    "{cell}: lost updates on key {key}"
+                );
+            }
+        }
+    }
 }

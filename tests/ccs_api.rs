@@ -1,8 +1,18 @@
 //! Conditional-critical-section API tests: `lock_when` and friends on
 //! real OS threads — lost-wakeup freedom, unlock-side evaluation,
 //! deregistration hygiene, and the broadcast baseline's equivalence.
+//!
+//! The last section runs three wakeup-economy scenarios (mailbox
+//! producer/consumer, bounded queue, generation barrier) over a grid
+//! of wake policy × thread count × deadline-abort rate, asserting each
+//! scenario's state invariants in every cell, and that unlock-side
+//! evaluation wakes fewer waiters per transition than broadcast on the
+//! mailbox scenario.
 
-use sal_sync::{AbortFlag, AbortReason, AbortableMutex, WakePolicy};
+use sal_sync::{
+    AbortFlag, AbortReason, AbortableMutex, CcsStats, MutexGuard, MutexHandle, WakePolicy,
+};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -258,4 +268,292 @@ fn guard_drop_without_waiters_stays_cheap_and_correct() {
     let stats = m.ccs_stats();
     assert_eq!(stats.transitions, 0, "no waiters, no registry scans");
     assert_eq!(stats.wakeups, 0);
+}
+
+// ---- Wakeup-economy scenarios ----
+
+/// Bounded-queue capacity of the `bqueue` scenario.
+const QUEUE_CAP: usize = 4;
+
+/// Deadline of the deadline-first waits: short enough to fire under
+/// contention, long enough that uncontended waits usually finish.
+const ABORT_DEADLINE: Duration = Duration::from_micros(50);
+
+/// One grid cell of a scenario.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    policy: WakePolicy,
+    threads: usize,
+    /// `Some(k)`: every k-th conditional wait first runs with
+    /// [`ABORT_DEADLINE`] and retries unbounded on a deadline abort.
+    abort_every: Option<usize>,
+    /// Items per producer, or barrier rounds.
+    items: usize,
+}
+
+/// Run `scenario` on every cell of policy {Evaluate, Broadcast} ×
+/// threads {2, 4} × abort rate {none, 1/8}; returns each cell with the
+/// mutex's CCS counters.
+fn grid(items: usize, scenario: fn(Cell) -> CcsStats) -> Vec<(Cell, CcsStats)> {
+    let mut out = Vec::new();
+    for policy in [WakePolicy::Evaluate, WakePolicy::Broadcast] {
+        for threads in [2, 4] {
+            for abort_every in [None, Some(8)] {
+                let cell = Cell {
+                    policy,
+                    threads,
+                    abort_every,
+                    items,
+                };
+                out.push((cell, scenario(cell)));
+            }
+        }
+    }
+    out
+}
+
+/// One conditional acquisition, deadline-first on the attempts
+/// `abort_every` selects: the wait first runs with [`ABORT_DEADLINE`]
+/// (injected as the lock's abort signal, so it aborts on the paper's
+/// bounded path while queued) and falls back to the unbounded wait.
+fn conditional_lock<'h, 'm, T, F>(
+    h: &'h mut MutexHandle<'m, T>,
+    pred: F,
+    abort_every: Option<usize>,
+    attempt: usize,
+) -> MutexGuard<'h, 'm, T>
+where
+    F: Fn(&T) -> bool + Sync + Copy,
+{
+    if abort_every.is_some_and(|k| attempt.is_multiple_of(k)) {
+        match h.lock_when_for(pred, ABORT_DEADLINE) {
+            // Returning this guard would hold the borrow across the
+            // fallback; drop it and take the (still satisfiable) wait.
+            Ok(g) => drop(g),
+            Err(AbortReason::Deadline) => {}
+            Err(AbortReason::Caller) => unreachable!("deadline waits cannot report Caller"),
+        }
+    }
+    h.lock_when(pred)
+}
+
+/// Mailbox producer/consumer state.
+struct Mail {
+    /// One capacity-1 slot per consumer: 0 = empty, else the item.
+    boxes: Vec<u64>,
+    produced: u64,
+    consumed: u64,
+    producers_done: usize,
+}
+
+/// Producers deposit into per-consumer mailboxes round-robin, waiting
+/// for the target slot to drain; consumer `c` waits for its own slot
+/// to fill. Every condition names one slot, so under evaluation a
+/// deposit wakes its addressee only, while broadcast wakes every
+/// parked thread on every unlock.
+fn prodcons(cell: Cell) -> CcsStats {
+    let producers = (cell.threads / 2).max(1);
+    let consumers = (cell.threads - producers).max(1);
+    let items = cell.items;
+    let m = AbortableMutex::builder(Mail {
+        boxes: vec![0; consumers],
+        produced: 0,
+        consumed: 0,
+        producers_done: 0,
+    })
+    .capacity(producers + consumers)
+    .wake_policy(cell.policy)
+    .build();
+    std::thread::scope(|s| {
+        for p in 0..producers {
+            let mut h = m.handle();
+            s.spawn(move || {
+                for i in 0..items {
+                    let target = (p * items + i) % consumers;
+                    let pred = move |s: &Mail| s.boxes[target] == 0;
+                    let mut g = conditional_lock(&mut h, pred, cell.abort_every, i + 1);
+                    g.boxes[target] = 1 + (p * items + i) as u64;
+                    g.produced += 1;
+                }
+                h.lock().producers_done += 1;
+            });
+        }
+        for c in 0..consumers {
+            let mut h = m.handle();
+            s.spawn(move || {
+                let pred = move |s: &Mail| s.boxes[c] != 0 || s.producers_done == producers;
+                for attempt in 1.. {
+                    let mut g = conditional_lock(&mut h, pred, cell.abort_every, attempt);
+                    if g.boxes[c] != 0 {
+                        g.boxes[c] = 0;
+                        g.consumed += 1;
+                    } else if g.producers_done == producers {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    let stats = m.ccs_stats();
+    let total = (producers * items) as u64;
+    let state = m.into_inner();
+    assert_eq!(state.produced, total, "{cell:?}: lost production");
+    assert_eq!(state.consumed, total, "{cell:?}: lost or duplicated items");
+    assert!(
+        state.boxes.iter().all(|&b| b == 0),
+        "{cell:?}: undrained mailbox"
+    );
+    stats
+}
+
+/// Bounded-queue state.
+struct Bq {
+    q: VecDeque<u64>,
+    pushed: u64,
+    popped: u64,
+    sum_pushed: u64,
+    sum_popped: u64,
+    producers_done: usize,
+}
+
+/// Producers wait for space, consumers wait for items: conditional
+/// waits on both sides of one bounded queue.
+fn bqueue(cell: Cell) -> CcsStats {
+    let producers = (cell.threads / 2).max(1);
+    let consumers = (cell.threads - producers).max(1);
+    let items = cell.items;
+    let m = AbortableMutex::builder(Bq {
+        q: VecDeque::with_capacity(QUEUE_CAP),
+        pushed: 0,
+        popped: 0,
+        sum_pushed: 0,
+        sum_popped: 0,
+        producers_done: 0,
+    })
+    .capacity(producers + consumers)
+    .wake_policy(cell.policy)
+    .build();
+    std::thread::scope(|s| {
+        for p in 0..producers {
+            let mut h = m.handle();
+            s.spawn(move || {
+                for i in 0..items {
+                    let v = (p * items + i) as u64;
+                    let pred = |s: &Bq| s.q.len() < QUEUE_CAP;
+                    let mut g = conditional_lock(&mut h, pred, cell.abort_every, i + 1);
+                    assert!(g.q.len() < QUEUE_CAP, "{cell:?}: overfull on entry");
+                    g.q.push_back(v);
+                    g.pushed += 1;
+                    g.sum_pushed += v;
+                }
+                h.lock().producers_done += 1;
+            });
+        }
+        for _ in 0..consumers {
+            let mut h = m.handle();
+            s.spawn(move || {
+                let pred = move |s: &Bq| !s.q.is_empty() || s.producers_done == producers;
+                for attempt in 1.. {
+                    let mut g = conditional_lock(&mut h, pred, cell.abort_every, attempt);
+                    if let Some(v) = g.q.pop_front() {
+                        g.popped += 1;
+                        g.sum_popped += v;
+                    } else if g.producers_done == producers {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    let stats = m.ccs_stats();
+    let total = (producers * items) as u64;
+    let state = m.into_inner();
+    assert_eq!(state.pushed, total, "{cell:?}: lost push");
+    assert_eq!(state.popped, total, "{cell:?}: lost or duplicated pop");
+    assert_eq!(
+        state.sum_pushed, state.sum_popped,
+        "{cell:?}: value corruption through the queue"
+    );
+    assert!(state.q.is_empty(), "{cell:?}: undrained queue");
+    stats
+}
+
+/// Generation-barrier state.
+struct Bar {
+    gen: u64,
+    count: usize,
+}
+
+/// All threads meet `items` times; the last arrival of a round bumps
+/// the generation and everyone else `await_when`s it, re-waiting while
+/// holding its guard (the release/re-acquire path).
+fn barrier(cell: Cell) -> CcsStats {
+    let n = cell.threads;
+    let m = AbortableMutex::builder(Bar { gen: 0, count: 0 })
+        .capacity(n)
+        .wake_policy(cell.policy)
+        .build();
+    std::thread::scope(|s| {
+        for _ in 0..n {
+            let mut h = m.handle();
+            s.spawn(move || {
+                for r in 0..cell.items {
+                    let mut g = h.lock();
+                    let my_gen = g.gen;
+                    g.count += 1;
+                    if g.count == n {
+                        // Dropping the guard evaluates the others'
+                        // conditions and wakes them.
+                        g.count = 0;
+                        g.gen += 1;
+                    } else {
+                        let pred = move |s: &Bar| s.gen != my_gen;
+                        if cell.abort_every.is_some_and(|k| (r + 1).is_multiple_of(k)) {
+                            while !g.await_when_for(pred, ABORT_DEADLINE) {}
+                        } else {
+                            g.await_when(pred);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let stats = m.ccs_stats();
+    let state = m.into_inner();
+    assert_eq!(
+        state.gen, cell.items as u64,
+        "{cell:?}: rounds lost or duplicated"
+    );
+    assert_eq!(state.count, 0, "{cell:?}: stragglers left behind");
+    stats
+}
+
+/// Wakeups per state transition, aggregated over one policy's cells.
+fn wakeups_per_transition(cells: &[(Cell, CcsStats)], policy: WakePolicy) -> f64 {
+    let (w, t) = cells
+        .iter()
+        .filter(|(c, _)| c.policy == policy)
+        .fold((0, 0), |(w, t), (_, s)| (w + s.wakeups, t + s.transitions));
+    w as f64 / (t as f64).max(1.0)
+}
+
+#[test]
+fn prodcons_loses_nothing_and_evaluation_wakes_fewer_than_broadcast() {
+    let cells = grid(300, prodcons);
+    let evaluate = wakeups_per_transition(&cells, WakePolicy::Evaluate);
+    let broadcast = wakeups_per_transition(&cells, WakePolicy::Broadcast);
+    assert!(
+        evaluate < broadcast,
+        "evaluate woke {evaluate:.3} waiters per transition, broadcast {broadcast:.3}"
+    );
+}
+
+#[test]
+fn bqueue_loses_nothing_under_every_policy_and_abort_rate() {
+    grid(300, bqueue);
+}
+
+#[test]
+fn barrier_completes_every_round_under_every_policy_and_abort_rate() {
+    grid(100, barrier);
 }

@@ -9,7 +9,7 @@
 use sal_bench::{build_lock, LockKind};
 use sal_runtime::{
     explore, run_lock, run_one_shot, BurstySchedule, ExploreOptions, ForcedSchedule, ProcPlan,
-    RandomSchedule, Recorder, Recording, SchedulePolicy, WorkloadReport, WorkloadSpec,
+    RandomSchedule, Recorder, Recording, RoundRobin, SchedulePolicy, WorkloadReport, WorkloadSpec,
 };
 
 /// The cap sweep every test runs: per-step reference, short lease, long
@@ -56,41 +56,57 @@ fn run_cell(
     report
 }
 
+/// A sweep cell: lock kind, per-process plans, schedule policy (all on
+/// four processes).
+type SweepCell = (
+    LockKind,
+    fn() -> Vec<ProcPlan>,
+    fn() -> Box<dyn SchedulePolicy>,
+);
+
 #[test]
 fn long_lived_sweep_cell_is_byte_identical_at_every_cap() {
     // A contended long-lived cell with an aborter in the mix, under
-    // both a random and a bursty schedule (bursty grants long leases).
-    for seed_policy in [0u8, 1u8] {
-        let plans = || {
-            let mut p = vec![ProcPlan::normal(3); 3];
-            p.push(ProcPlan::aborter(3, 24));
-            p
-        };
-        let policy = |s: u64| -> Box<dyn SchedulePolicy> {
-            if seed_policy == 0 {
-                Box::new(RandomSchedule::seeded(s))
-            } else {
-                Box::new(BurstySchedule::seeded(s, 0.9))
-            }
-        };
-        let reference = fingerprint(&run_cell(
-            LockKind::LongLived { b: 4 },
-            4,
-            plans(),
-            1,
-            policy(5),
-        ));
+    // both a random and a bursty schedule (bursty grants long leases);
+    // then eight passages per process without aborters for the
+    // long-lived lock at the paper's W = 16 and the tournament
+    // baseline, under round-robin (runs of one step, so leases barely
+    // engage) and bursty.
+    fn with_aborter() -> Vec<ProcPlan> {
+        let mut p = vec![ProcPlan::normal(3); 3];
+        p.push(ProcPlan::aborter(3, 24));
+        p
+    }
+    fn no_abort() -> Vec<ProcPlan> {
+        vec![ProcPlan::normal(8); 4]
+    }
+    let cells: [SweepCell; 6] = [
+        (LockKind::LongLived { b: 4 }, with_aborter, || {
+            Box::new(RandomSchedule::seeded(5))
+        }),
+        (LockKind::LongLived { b: 4 }, with_aborter, || {
+            Box::new(BurstySchedule::seeded(5, 0.9))
+        }),
+        (LockKind::LongLived { b: 16 }, no_abort, || {
+            Box::new(RoundRobin::new())
+        }),
+        (LockKind::LongLived { b: 16 }, no_abort, || {
+            Box::new(BurstySchedule::seeded(11, 0.9))
+        }),
+        (LockKind::Tournament, no_abort, || {
+            Box::new(RoundRobin::new())
+        }),
+        (LockKind::Tournament, no_abort, || {
+            Box::new(BurstySchedule::seeded(11, 0.9))
+        }),
+    ];
+    for (i, (kind, plans, policy)) in cells.into_iter().enumerate() {
+        let reference = fingerprint(&run_cell(kind, 4, plans(), 1, policy()));
         for cap in CAPS {
-            let fp = fingerprint(&run_cell(
-                LockKind::LongLived { b: 4 },
-                4,
-                plans(),
-                cap,
-                policy(5),
-            ));
             assert_eq!(
-                fp, reference,
-                "policy {seed_policy}: lease cap {cap} diverged from per-step"
+                fingerprint(&run_cell(kind, 4, plans(), cap, policy())),
+                reference,
+                "cell {i} ({kind:?}): lease cap {cap} diverged from per-step"
             );
         }
     }

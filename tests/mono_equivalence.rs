@@ -1,6 +1,6 @@
 //! Differential test for registry dispatch: driving a lock through the
 //! registry's [`AnyLock`] (the one lock type `table1`, `figures`,
-//! `sweep`, `explore` and `hwscale` run) and through its concrete type
+//! `sweep` and `explore` run) and through its concrete type
 //! must produce **identical** simulations — same passage records, same
 //! RMR totals, same step count, same event log — on scripted schedules
 //! and on seeded random sweeps, for every lock kind in the workspace.

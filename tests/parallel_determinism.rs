@@ -10,9 +10,10 @@ use sal_runtime::{explore, simulate, ExploreOptions, SimOptions};
 
 /// Render everything a table1-style probed sweep produces into one
 /// string: the aligned table, the points JSON, and the merged event
-/// JSONL (per-cell unbounded logs absorbed in cell order).
+/// JSONL (per-cell unbounded logs absorbed in cell order). The grid is
+/// every Table-1 row at `W = 16` × N ∈ {8, 16} × `seeds`.
 fn sweep_fingerprint(jobs: usize, seeds: &[u64]) -> String {
-    let kinds = [LockKind::OneShot { b: 4 }, LockKind::Scott];
+    let kinds = LockKind::table1_rows(16);
     let ns = [8usize, 16];
     let cells: Vec<(LockKind, usize, u64)> = kinds
         .iter()
